@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssync_channel::Multipath;
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::{Complex64, Fft};
 use ssync_linprog::MisalignmentProblem;
@@ -115,9 +116,22 @@ fn bench_fractional_delay(c: &mut Criterion) {
     });
 }
 
+fn bench_multipath_conv(c: &mut Criterion) {
+    // A wiglan-frame-sized waveform through a 25-tap channel, the shape of
+    // one medium propagation's convolution.
+    let mut rng = StdRng::seed_from_u64(8);
+    let gauss = ComplexGaussian::unit();
+    let sig = gauss.sample_vec(&mut rng, 10_000);
+    let channel = Multipath::from_taps(gauss.sample_vec(&mut rng, 25));
+    let mut out = Vec::new();
+    c.bench_function("multipath_conv_10k_25taps", |b| {
+        b.iter(|| channel.apply_into(&sig, &mut out))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_fft, bench_viterbi, bench_full_frame, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay
+    targets = bench_fft, bench_viterbi, bench_full_frame, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay, bench_multipath_conv
 }
 criterion_main!(benches);

@@ -141,22 +141,12 @@ pub fn fractional_delay_into(
     // convolution placed (int_part - latency) samples in — or trimmed by the
     // difference when that is negative.
     let latency = SINC_HALF_WIDTH - 1;
-    let conv_len = signal.len() + kernel.len() - 1;
     let (lead, trim) = if int_part >= latency {
         (int_part - latency, 0)
     } else {
         (0, latency - int_part)
     };
-    out.clear();
-    out.resize(lead + conv_len - trim, Complex64::ZERO);
-    for (i, s) in signal.iter().enumerate() {
-        for (j, k) in kernel.iter().enumerate() {
-            let t = i + j;
-            if t >= trim {
-                out[lead + t - trim] += s.scale(*k);
-            }
-        }
-    }
+    crate::fir::convolve_real_into(signal, kernel, lead, trim, out);
 }
 
 /// Applies a frequency-domain phase ramp corresponding to a (possibly
@@ -316,6 +306,45 @@ mod tests {
         let mut kernel = Vec::new();
         fractional_kernel_into(0.3, &mut kernel);
         assert_eq!(kernel, fractional_kernel(0.3));
+    }
+
+    #[test]
+    fn delay_matches_the_scatter_reference_on_every_branch() {
+        // The integer fast path, the trim branch (integer part below the
+        // kernel latency), the boundary and the lead branch, each into a
+        // dirty, over-sized buffer, against the pre-kernel scatter loop.
+        let latency = SINC_HALF_WIDTH - 1;
+        let sig = bandlimited_signal(31, 128);
+        let mut ws = DelayWorkspace::new();
+        let mut out = vec![Complex64::new(f64::NAN, 1.0); 999];
+        for d in [
+            0.0,
+            6.0,
+            0.5,
+            3.37,
+            (latency - 1) as f64 + 0.9,
+            latency as f64 + 0.25,
+            40.75,
+        ] {
+            fractional_delay_into(&sig, d, &mut ws, &mut out);
+            let int_part = d.floor() as usize;
+            let mu = d - int_part as f64;
+            let want = if mu == 0.0 {
+                integer_delay(&sig, int_part)
+            } else if int_part >= latency {
+                crate::fir::tests::scatter_real(&sig, &fractional_kernel(mu), int_part - latency, 0)
+            } else {
+                crate::fir::tests::scatter_real(&sig, &fractional_kernel(mu), 0, latency - int_part)
+            };
+            assert_eq!(out.len(), want.len(), "delay {d}");
+            for (a, b) in out.iter().zip(&want) {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits()),
+                    "delay {d}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! * [`delay`] — integer and fractional (windowed-sinc) sample delays, the
 //!   mechanism by which the simulator realises femtosecond-resolution
 //!   propagation delays on a sampled waveform,
+//! * [`fir`] — the output-stationary convolution kernels behind multipath
+//!   and fractional delay, in scalar, portable-lane and AVX2 tiers,
 //! * [`stats`] — percentiles, dB conversions, EVM→SNR, empirical CDFs,
 //! * [`rng`] — deterministic Gaussian / complex-Gaussian sampling (Box-Muller
 //!   over `rand`, so experiments are reproducible from a `u64` seed),
@@ -19,15 +21,18 @@
 //! Everything is pure, allocation-conscious, and deterministic; there is no
 //! interior mutability and no global state.
 
-// No unsafe anywhere in this crate: the determinism contract is easier
-// to audit when the only unsafe in the workspace is ssync_phy's fenced
-// AVX2 tier (see DESIGN.md and ssync_lint's `undocumented-unsafe` rule).
-#![forbid(unsafe_code)]
+// Unsafe code is denied everywhere in this crate except the one fenced
+// AVX2 submodule of `fir`, which opts out with a justified
+// `#[allow(unsafe_code)]`; every unsafe block there carries its own
+// SAFETY comment (see DESIGN.md and ssync_lint's `undocumented-unsafe`
+// rule). The determinism contract is easier to audit that way.
+#![deny(unsafe_code)]
 
 pub mod complex;
 pub mod correlate;
 pub mod delay;
 pub mod fft;
+pub mod fir;
 pub mod mixer;
 pub mod rng;
 pub mod simd;

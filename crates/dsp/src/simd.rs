@@ -12,10 +12,12 @@
 //! never reassociate a scalar reduction).
 //!
 //! The `simd` cargo feature (on by default) selects the lane kernels at the
-//! call sites in `correlate`, `mixer`, and `ssync_phy`'s Viterbi/demapper;
-//! building with `--no-default-features` selects the scalar fallbacks. Both
-//! paths are always compiled and unit-tested against each other, which is
-//! what keeps the CI scalar job meaningful.
+//! call sites in `correlate`, `mixer`, `fir` (the multipath and
+//! fractional-delay convolutions), and `ssync_phy`'s Viterbi/demapper;
+//! `fir` and the Viterbi/demapper add a runtime-detected AVX2 tier above
+//! the lanes. Building with `--no-default-features` selects the scalar
+//! fallbacks. Every path is always compiled and unit-tested against the
+//! others, which is what keeps the CI scalar job meaningful.
 
 use crate::complex::Complex64;
 

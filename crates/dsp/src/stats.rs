@@ -57,6 +57,31 @@ pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
 }
 
+/// One step of a running minimum with a defined result on every input:
+/// a NaN accumulator is replaced by `v`, and otherwise `v` wins only when
+/// strictly smaller. Ties keep the accumulator, so `±0.0` resolve to the
+/// earlier sample. `f64::min` may return either operand when they compare
+/// equal, so its answer on `0.0` vs `-0.0` depends on code generation.
+#[inline]
+pub fn fold_min(acc: f64, v: f64) -> f64 {
+    if acc.is_nan() || v < acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// [`fold_min`]'s mirror for a running maximum: a NaN accumulator is
+/// replaced, otherwise `v` wins only when strictly greater.
+#[inline]
+pub fn fold_max(acc: f64, v: f64) -> f64 {
+    if acc.is_nan() || v > acc {
+        v
+    } else {
+        acc
+    }
+}
+
 /// An empirical CDF: sorted values paired with cumulative fractions
 /// `(i+1)/n`, ready to print as the paper's "Fraction of clients" curves.
 pub fn empirical_cdf(xs: &[f64]) -> Vec<(f64, f64)> {
@@ -136,6 +161,24 @@ mod tests {
             assert!((db_from_linear(linear_from_db(db)) - db).abs() < 1e-12);
         }
         assert_eq!(db_from_linear(0.0), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn fold_extrema_have_a_defined_order() {
+        let bits = |v: f64| v.to_bits();
+        // A NaN accumulator is replaced; a NaN sample never wins.
+        assert_eq!(fold_min(f64::NAN, 2.0), 2.0);
+        assert_eq!(fold_max(f64::NAN, 2.0), 2.0);
+        assert_eq!(fold_min(1.0, f64::NAN), 1.0);
+        assert_eq!(fold_max(1.0, f64::NAN), 1.0);
+        // Signed zeros tie, so the earlier sample stays, in either order.
+        assert_eq!(bits(fold_min(0.0, -0.0)), bits(0.0));
+        assert_eq!(bits(fold_min(-0.0, 0.0)), bits(-0.0));
+        assert_eq!(bits(fold_max(0.0, -0.0)), bits(0.0));
+        assert_eq!(bits(fold_max(-0.0, 0.0)), bits(-0.0));
+        let xs = [3.0, -0.0, 0.0, -1.5, 7.25, -1.5];
+        assert_eq!(xs.iter().copied().fold(f64::NAN, fold_min), -1.5);
+        assert_eq!(xs.iter().copied().fold(f64::NAN, fold_max), 7.25);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! approximation:
 //!
 //! * [`OnlineSketch`] maintains the running left-to-right sum, the running
-//!   `fold(NAN, f64::min/max)` extrema, and lazily *stable-merged sorted
+//!   `fold(NAN, stats::fold_min/fold_max)` extrema, and lazily *stable-merged sorted
 //!   runs* for percentile/CDF queries. Each query replays the identical
 //!   floating-point operation sequence the batch helpers execute, so the
 //!   results agree to the last bit (including the `-0.0` vs `0.0` ordering
@@ -27,6 +27,7 @@
 //! two-pass by definition and percentiles need order statistics.
 
 use crate::agg::{z_for, Ci, Summary};
+use ssync_dsp::stats;
 
 /// An exact online aggregation sketch over a stream of `f64` samples.
 ///
@@ -44,9 +45,9 @@ pub struct OnlineSketch {
     sorted_len: usize,
     /// Running left-to-right sum, identical to `values.iter().sum()`.
     sum: f64,
-    /// Running `fold(f64::NAN, f64::min)` over the push order.
+    /// Running `fold(f64::NAN, stats::fold_min)` over the push order.
     min: f64,
-    /// Running `fold(f64::NAN, f64::max)` over the push order.
+    /// Running `fold(f64::NAN, stats::fold_max)` over the push order.
     max: f64,
 }
 
@@ -66,12 +67,12 @@ impl OnlineSketch {
     /// Adds one sample.
     pub fn push(&mut self, v: f64) {
         // The same operation sequence as the batch path: `iter().sum()`
-        // adds left to right from 0.0, and Summary's extrema fold with
-        // `f64::min`/`f64::max` from a NaN accumulator (so the first
-        // sample always replaces it).
+        // adds left to right from 0.0, and the extrema fold with
+        // `stats::fold_min`/`fold_max` from a NaN accumulator (so the first
+        // sample always replaces it, and ±0.0 ties keep the earlier one).
         self.sum += v;
-        self.min = f64::min(self.min, v);
-        self.max = f64::max(self.max, v);
+        self.min = stats::fold_min(self.min, v);
+        self.max = stats::fold_max(self.max, v);
         self.values.push(v);
     }
 
@@ -285,7 +286,6 @@ impl<T> ReorderBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssync_dsp::stats;
 
     #[test]
     fn running_moments_match_batch_bit_for_bit() {

@@ -58,8 +58,8 @@ fn batch_summary(xs: &[f64]) -> Summary {
         n: xs.len(),
         mean: stats::mean(xs),
         std_dev: stats::std_dev(xs),
-        min: xs.iter().copied().fold(f64::NAN, f64::min),
-        max: xs.iter().copied().fold(f64::NAN, f64::max),
+        min: xs.iter().copied().fold(f64::NAN, stats::fold_min),
+        max: xs.iter().copied().fold(f64::NAN, stats::fold_max),
     }
 }
 

@@ -263,8 +263,8 @@ impl MetricRegistry {
                     if xs.is_empty() {
                         row.extend([na(), na(), na(), na(), na()]);
                     } else {
-                        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-                        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                        let min = xs.iter().cloned().fold(f64::INFINITY, stats::fold_min);
+                        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, stats::fold_max);
                         row.push(Value::F(stats::mean(&xs), 6));
                         row.push(Value::F(min, 6));
                         row.push(Value::F(stats::percentile(&xs, 50.0), 6));
