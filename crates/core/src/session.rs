@@ -62,14 +62,12 @@ use ssync_dsp::mixer::apply_cfo_from;
 use ssync_dsp::{Complex64, FftPlan};
 use ssync_obs::{FrameClass, JoinFailureClass, JoinResult, TraceEventKind, TraceRecorder};
 use ssync_phy::chanest::{delay_from_slope, phase_slope, ChannelEstimate};
+use ssync_phy::detect::CAPTURE_MARGIN;
 use ssync_phy::preamble::cosender_training;
 use ssync_phy::workspace::{RxWorkspace, TxWorkspace};
 use ssync_phy::{crc, frame, Params, Receiver, Transmitter};
 use ssync_sim::{Network, NodeId, Time};
 use ssync_stbc::codebook::codeword_for;
-
-/// Margin of noise-only samples before the lead's header.
-pub(crate) const CAPTURE_MARGIN: usize = 400;
 
 /// Why a co-sender did not join a joint transmission (§4.4).
 ///
@@ -397,8 +395,6 @@ pub struct SessionWorkspace {
     rx_ws: RxWorkspace,
     /// Joint data-section scratch (space-time coding and combining).
     combine_ws: CombineWorkspace,
-    /// CFO-corrected capture copy of the receiver-decode stage.
-    capture_scratch: Vec<Complex64>,
 }
 
 impl SessionWorkspace {
@@ -411,7 +407,6 @@ impl SessionWorkspace {
             tx_ws: TxWorkspace::new(&params),
             rx_ws: RxWorkspace::new(&params),
             combine_ws: CombineWorkspace::new(&params),
-            capture_scratch: Vec::new(),
             params,
         }
     }
@@ -830,7 +825,6 @@ fn decode_capture(
         rx,
         rx_ws,
         combine_ws,
-        capture_scratch,
         ..
     } = ws;
     // The receiver's common early-window offset (same convention as the
@@ -867,18 +861,11 @@ fn decode_capture(
     };
     let period = params.sample_period_fs();
 
-    // CFO-correct a copy referenced to sample 0 (same convention as the
-    // phy receiver, so the lead channel estimate stays consistent).
-    capture_scratch.clear();
-    capture_scratch.extend_from_slice(buf);
-    let corrected: &[Complex64] = {
-        ssync_dsp::mixer::apply_cfo(
-            capture_scratch,
-            -res.diag.detection.cfo_hz,
-            params.sample_rate_hz,
-        );
-        capture_scratch
-    };
+    // The receiver's CFO-corrected capture, referenced to sample 0 (so the
+    // lead channel estimate stays consistent). It is corrected from the
+    // header's LTS on; everything read below lies after the header.
+    let (corrected_from, corrected) = rx_ws.corrected();
+    debug_assert!(corrected_from <= base + timeline.header_len);
 
     // Noise floor from the SIFS silence (time domain), for presence checks.
     let sifs_lo = base + timeline.header_len + timeline.sifs_len / 4;

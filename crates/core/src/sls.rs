@@ -17,9 +17,12 @@
 
 use crate::timeline::SIFS_S;
 use rand::Rng;
+use ssync_dsp::Complex64;
 use ssync_linprog::{MisalignmentProblem, WaitSolution};
+use ssync_phy::detect::CAPTURE_MARGIN;
 use ssync_phy::preamble::PreambleLayout;
-use ssync_phy::{Receiver, RxDiagnostics, RxResult, Transmitter};
+use ssync_phy::workspace::TxWorkspace;
+use ssync_phy::{Params, Receiver, RxDiagnostics, RxResult, Transmitter};
 use ssync_sim::{Network, NodeId, Time};
 use std::collections::BTreeMap;
 
@@ -52,9 +55,6 @@ pub struct ProbeOutcome {
     pub cfo_hz: f64,
 }
 
-/// Margin of noise-only samples captured before an expected packet.
-const CAPTURE_MARGIN: usize = 400;
-
 /// Runs one probe/response exchange `a → b → a` on the sample-level medium
 /// and estimates the one-way delay per Eq. 2. Returns `None` if either
 /// frame fails to decode (the caller retries — probes are cheap).
@@ -64,65 +64,122 @@ pub fn probe_pair<R: Rng + ?Sized>(
     a: NodeId,
     b: NodeId,
 ) -> Option<ProbeOutcome> {
-    let params = net.params.clone();
-    let period = params.sample_period_fs();
-    let tx = Transmitter::new(params.clone());
-    let rx = Receiver::new(params.clone());
-    net.medium.clear_transmissions();
+    Prober::new(&net.params).probe(net, rng, a, b)
+}
 
-    // A transmits a probe.
-    let probe_payload = [0xA5u8; 16];
-    let probe_wave = tx.frame_waveform(&probe_payload, crate::timeline::HEADER_RATE, 0);
-    let probe_len = probe_wave.len();
-    let t0 = Time((CAPTURE_MARGIN as u64) * period);
-    net.medium.transmit(a, t0, probe_wave);
+/// The modem machinery of a probe/response exchange — transmitter and its
+/// workspace, receiver, and the fixed probe frame — built once and reused
+/// by every probe of a [`DelayDatabase::measure`] call.
+///
+/// Each receive still builds its own `RxWorkspace`: held here across the
+/// probes, one measured no faster and raised the peak resident memory of
+/// a probing run by about 2 MB, through where the allocator then placed
+/// the capture buffers.
+struct Prober {
+    tx: Transmitter,
+    tx_ws: TxWorkspace,
+    rx: Receiver,
+    /// The probe frame, the same on every exchange.
+    probe_wave: Vec<Complex64>,
+}
 
-    // B captures and decodes.
-    let b_window = CAPTURE_MARGIN * 2 + probe_len + 200;
-    let b_buf = net.medium.capture(rng, b, Time::ZERO, b_window);
-    let b_res: RxResult = rx.receive(&b_buf).ok()?;
-    if b_res.payload != probe_payload {
-        return None;
+/// The probe frame's payload.
+const PROBE_PAYLOAD: [u8; 16] = [0xA5; 16];
+
+impl Prober {
+    fn new(params: &Params) -> Self {
+        let tx = Transmitter::new(params.clone());
+        let mut tx_ws = TxWorkspace::new(params);
+        let mut probe_wave = Vec::new();
+        tx.frame_waveform_into(
+            &PROBE_PAYLOAD,
+            crate::timeline::HEADER_RATE,
+            0,
+            &mut tx_ws,
+            &mut probe_wave,
+        );
+        Prober {
+            tx,
+            tx_ws,
+            rx: Receiver::new(params.clone()),
+            probe_wave,
+        }
     }
-    let b_arrival_s = arrival_estimate_s(&params, &b_res.diag, Time::ZERO);
-    let b_detect = Time((b_res.diag.detection.detect_idx as u64) * period);
 
-    // B responds after the probe ends plus its hardware turnaround plus a
-    // SIFS-like clearance; it reports its receive→transmit interval.
-    let turnaround = net.node(b).turnaround;
-    let clearance = ssync_sim::Duration::from_secs_f64(SIFS_S);
-    let resp_earliest =
-        Time((b_arrival_s * 1e15) as u64 + (probe_len as u64) * period) + turnaround + clearance;
-    let resp_time = resp_earliest
-        .max(b_detect + turnaround)
-        .ceil_to_sample(period);
-    let rx_to_tx_s = resp_time.as_secs_f64() - b_arrival_s;
-    let mut resp_payload = Vec::with_capacity(16);
-    resp_payload.extend_from_slice(&rx_to_tx_s.to_le_bytes());
-    resp_payload.extend_from_slice(&b_res.diag.detection.cfo_hz.to_le_bytes());
-    let resp_wave = tx.frame_waveform(&resp_payload, crate::timeline::HEADER_RATE, 0);
-    let resp_len = resp_wave.len();
-    net.medium.transmit(b, resp_time, resp_wave);
+    /// One exchange; see [`probe_pair`].
+    fn probe<R: Rng + ?Sized>(
+        &mut self,
+        net: &mut Network,
+        rng: &mut R,
+        a: NodeId,
+        b: NodeId,
+    ) -> Option<ProbeOutcome> {
+        let params = self.rx.params();
+        let period = params.sample_period_fs();
+        net.medium.clear_transmissions();
 
-    // A captures the response. Scan from after its own transmission ended.
-    let a_from = t0 + ssync_sim::Duration((probe_len as u64) * period);
-    let a_window =
-        resp_time.saturating_since(a_from).0 as usize / period as usize + resp_len + CAPTURE_MARGIN;
-    let a_buf = net.medium.capture(rng, a, a_from, a_window);
-    let a_res = rx.receive(&a_buf).ok()?;
-    let reported_rx_to_tx = f64::from_le_bytes(a_res.payload.get(0..8)?.try_into().ok()?);
-    let reported_cfo = f64::from_le_bytes(a_res.payload.get(8..16)?.try_into().ok()?);
-    let a_arrival_s = arrival_estimate_s(&params, &a_res.diag, a_from);
+        // A transmits a probe.
+        let probe_len = self.probe_wave.len();
+        let t0 = Time((CAPTURE_MARGIN as u64) * period);
+        net.medium.transmit(a, t0, self.probe_wave.clone());
 
-    // Eq. 2 rearranged: RTT = 2·d + (responder's rx→tx interval).
-    let rtt_s = a_arrival_s - t0.as_secs_f64();
-    let delay_s = (rtt_s - reported_rx_to_tx) / 2.0;
-    net.medium.clear_transmissions();
-    Some(ProbeOutcome {
-        delay_s,
-        true_delay_s: net.true_delay_s(a, b),
-        cfo_hz: reported_cfo,
-    })
+        // B captures and decodes.
+        let b_window = CAPTURE_MARGIN * 2 + probe_len + 200;
+        let b_buf = net.medium.capture(rng, b, Time::ZERO, b_window);
+        let b_res: RxResult = self.rx.receive(&b_buf).ok()?;
+        if b_res.payload != PROBE_PAYLOAD {
+            return None;
+        }
+        let b_arrival_s = arrival_estimate_s(params, &b_res.diag, Time::ZERO);
+        let b_detect = Time((b_res.diag.detection.detect_idx as u64) * period);
+
+        // B responds after the probe ends plus its hardware turnaround plus
+        // a SIFS-like clearance; it reports its receive→transmit interval.
+        let turnaround = net.node(b).turnaround;
+        let clearance = ssync_sim::Duration::from_secs_f64(SIFS_S);
+        let resp_earliest = Time((b_arrival_s * 1e15) as u64 + (probe_len as u64) * period)
+            + turnaround
+            + clearance;
+        let resp_time = resp_earliest
+            .max(b_detect + turnaround)
+            .ceil_to_sample(period);
+        let rx_to_tx_s = resp_time.as_secs_f64() - b_arrival_s;
+        let mut resp_payload = Vec::with_capacity(16);
+        resp_payload.extend_from_slice(&rx_to_tx_s.to_le_bytes());
+        resp_payload.extend_from_slice(&b_res.diag.detection.cfo_hz.to_le_bytes());
+        let mut resp_wave = Vec::new();
+        self.tx.frame_waveform_into(
+            &resp_payload,
+            crate::timeline::HEADER_RATE,
+            0,
+            &mut self.tx_ws,
+            &mut resp_wave,
+        );
+        let resp_len = resp_wave.len();
+        net.medium.transmit(b, resp_time, resp_wave);
+
+        // A captures the response. Scan from after its own transmission
+        // ended.
+        let a_from = t0 + ssync_sim::Duration((probe_len as u64) * period);
+        let a_window = resp_time.saturating_since(a_from).0 as usize / period as usize
+            + resp_len
+            + CAPTURE_MARGIN;
+        let a_buf = net.medium.capture(rng, a, a_from, a_window);
+        let a_res = self.rx.receive(&a_buf).ok()?;
+        let reported_rx_to_tx = f64::from_le_bytes(a_res.payload.get(0..8)?.try_into().ok()?);
+        let reported_cfo = f64::from_le_bytes(a_res.payload.get(8..16)?.try_into().ok()?);
+        let a_arrival_s = arrival_estimate_s(params, &a_res.diag, a_from);
+
+        // Eq. 2 rearranged: RTT = 2·d + (responder's rx→tx interval).
+        let rtt_s = a_arrival_s - t0.as_secs_f64();
+        let delay_s = (rtt_s - reported_rx_to_tx) / 2.0;
+        net.medium.clear_transmissions();
+        Some(ProbeOutcome {
+            delay_s,
+            true_delay_s: net.true_delay_s(a, b),
+            cfo_hz: reported_cfo,
+        })
+    }
 }
 
 /// The measurement database SourceSync nodes build by exchanging periodic
@@ -154,8 +211,9 @@ impl DelayDatabase {
     ) -> bool {
         let mut delays = Vec::new();
         let mut cfos = Vec::new();
+        let mut prober = Prober::new(&net.params);
         for _ in 0..n_probes {
-            if let Some(p) = probe_pair(net, rng, a, b) {
+            if let Some(p) = prober.probe(net, rng, a, b) {
                 delays.push(p.delay_s);
                 cfos.push(p.cfo_hz);
             }

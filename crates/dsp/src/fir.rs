@@ -1,10 +1,12 @@
-//! Output-stationary FIR kernels for medium synthesis.
+//! Output-stationary FIR kernels for medium synthesis and detection.
 //!
 //! The medium builds every received copy of a waveform with two linear
 //! convolutions: the link's complex multipath taps ([`convolve_complex_into`])
 //! and the real windowed-sinc interpolator of a sub-sample arrival
 //! ([`convolve_real_into`], with the interpolator's `lead`/`trim`
-//! placement). Both compute each output sample as one dot product,
+//! placement). The detector's LTS correlation is the valid part of a
+//! complex convolution ([`convolve_complex_valid_into`]). All compute each
+//! output sample as one dot product,
 //!
 //! ```text
 //! y[t] = Σ x[i]·h[t − i]   over every valid i, ascending (tap index descending),
@@ -64,6 +66,29 @@ pub fn convolve_real_into(
     out: &mut Vec<Complex64>,
 ) {
     convolve_into(x, h, lead, trim, out, best_tier());
+}
+
+/// The valid part of the complex convolution of `x` with taps `h`: the
+/// outputs `h.len() − 1 .. x.len()`, where every tap lands on an input
+/// sample, into `out` (cleared and refilled to `x.len() − h.len() + 1`
+/// samples; left empty when `h` is empty or longer than `x`).
+///
+/// Each output is the corresponding output of [`convolve_complex_into`],
+/// bit for bit. With `h` the reversed, conjugated template this is the
+/// sliding cross-correlation `Σ_m x[t + m]·conj(template[m])`, summed over
+/// `m` ascending from `+0.0` (see [`crate::correlate::Template`]).
+pub fn convolve_complex_valid_into(x: &[Complex64], h: &[Complex64], out: &mut Vec<Complex64>) {
+    valid_into(x, h, out, best_tier());
+}
+
+/// [`convolve_complex_valid_into`] on an explicit tier.
+fn valid_into(x: &[Complex64], h: &[Complex64], out: &mut Vec<Complex64>, tier: Tier) {
+    out.clear();
+    if h.is_empty() || x.len() < h.len() {
+        return;
+    }
+    out.resize(x.len() - h.len() + 1, Complex64::ZERO);
+    fill(x, h, h.len() - 1, out, tier);
 }
 
 /// The shared body of both public kernels, on an explicit tier.
@@ -427,7 +452,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn signal(rng: &mut StdRng, n: usize) -> Vec<Complex64> {
+    pub(crate) fn signal(rng: &mut StdRng, n: usize) -> Vec<Complex64> {
         (0..n)
             .map(|_| Complex64::new(value(rng), value(rng)))
             .collect()
@@ -438,7 +463,7 @@ pub(crate) mod tests {
         vec![Complex64::new(f64::NAN, -7.0); 700]
     }
 
-    fn assert_bits_eq(got: &[Complex64], want: &[Complex64], what: &str) {
+    pub(crate) fn assert_bits_eq(got: &[Complex64], want: &[Complex64], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}: length");
         for (t, (a, b)) in got.iter().zip(want).enumerate() {
             assert_eq!(
@@ -447,6 +472,22 @@ pub(crate) mod tests {
                 "{what}: output {t}: {a:?} vs {b:?}"
             );
         }
+    }
+
+    /// [`convolve_complex_valid_into`] on every tier this host can run,
+    /// each output labelled with its tier.
+    pub(crate) fn valid_on_every_tier(
+        x: &[Complex64],
+        h: &[Complex64],
+    ) -> Vec<(String, Vec<Complex64>)> {
+        tiers()
+            .into_iter()
+            .map(|tier| {
+                let mut out = dirty();
+                valid_into(x, h, &mut out, tier);
+                (format!("{tier:?}"), out)
+            })
+            .collect()
     }
 
     /// Empty, one sample, shorter than the taps, and long.

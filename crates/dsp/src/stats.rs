@@ -34,13 +34,17 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// The `p`-th percentile (0–100) with linear interpolation between order
 /// statistics, matching the common "linear" (type 7) definition.
 ///
+/// Total on every input: NaNs sort after every number, so a percentile
+/// whose order statistics include a NaN is NaN, and ±inf take part like
+/// any other value.
+///
 /// # Panics
 /// Panics if `xs` is empty or `p` is outside `[0, 100]`.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    sorted.sort_by(cmp_nan_last);
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -50,6 +54,15 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
         let frac = rank - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
+}
+
+/// A total order on `f64` that sorts NaN after every number: it agrees
+/// with `partial_cmp` on every pair of non-NaN values (so `-0.0` and
+/// `0.0` stay tied, and a stable sort keeps their input order) and ranks
+/// all NaNs equal to each other.
+fn cmp_nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 /// Median (50th percentile).
@@ -200,6 +213,54 @@ mod tests {
             percentile(&a, 95.0),
             percentile(&[1.0, 2.0, 3.0, 4.0, 5.0], 95.0)
         );
+    }
+
+    #[test]
+    fn percentile_sorts_nan_last() {
+        let xs = [3.0, f64::NAN, 1.0, 2.0, f64::NAN];
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&xs, 50.0), 3.0);
+        assert!(percentile(&xs, 75.0).is_nan());
+        assert!(percentile(&xs, 100.0).is_nan());
+        // Interpolating towards a NaN order statistic gives NaN.
+        assert!(percentile(&xs, 60.0).is_nan());
+        assert!(percentile(&[f64::NAN], 50.0).is_nan());
+    }
+
+    #[test]
+    fn percentile_takes_infinities_as_values() {
+        let xs = [f64::INFINITY, 1.0, f64::NEG_INFINITY, 2.0];
+        assert_eq!(percentile(&xs, 0.0), f64::NEG_INFINITY);
+        assert_eq!(percentile(&xs, 100.0), f64::INFINITY);
+        assert_eq!(percentile(&xs, 50.0), 1.5);
+        // Interpolation next to an infinity stays infinite.
+        assert_eq!(percentile(&xs, 90.0), f64::INFINITY);
+        assert_eq!(percentile(&xs, 10.0), f64::NEG_INFINITY);
+        // With a NaN too, the NaN sorts above +inf.
+        let ys = [f64::NAN, f64::INFINITY, 0.0];
+        assert_eq!(percentile(&ys, 50.0), f64::INFINITY);
+        assert!(percentile(&ys, 100.0).is_nan());
+    }
+
+    #[test]
+    fn nan_last_order_agrees_with_partial_cmp_on_numbers() {
+        use std::cmp::Ordering;
+        let vals = [f64::NEG_INFINITY, -1.5, -0.0, 0.0, 2.0, f64::INFINITY];
+        for a in vals {
+            for b in vals {
+                assert_eq!(Some(cmp_nan_last(&a, &b)), a.partial_cmp(&b), "{a} vs {b}");
+            }
+            assert_eq!(cmp_nan_last(&a, &f64::NAN), Ordering::Less);
+            assert_eq!(cmp_nan_last(&f64::NAN, &a), Ordering::Greater);
+        }
+        assert_eq!(cmp_nan_last(&f64::NAN, &-f64::NAN), Ordering::Equal);
+        // Signed zeros stay tied, so a stable sort keeps their order and
+        // an interpolated percentile keeps its bits.
+        let xs = [0.0, -0.0, -0.0, 0.0];
+        let mut sorted = xs;
+        sorted.sort_by(cmp_nan_last);
+        assert_eq!(sorted.map(f64::to_bits), xs.map(f64::to_bits));
+        assert_eq!(percentile(&[-0.0, 0.0], 0.0).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   runs* for percentile/CDF queries. Each query replays the identical
 //!   floating-point operation sequence the batch helpers execute, so the
 //!   results agree to the last bit (including the `-0.0` vs `0.0` ordering
-//!   a stable sort fixes, and the NaN panic).
+//!   a stable sort fixes). A NaN in the sample is the one exception: the
+//!   sketch panics on it, where the batch percentile sorts it last.
 //! * [`ReorderBuffer`] accepts `(index, item)` pairs in whatever order
 //!   workers complete them and releases items in index order, so a
 //!   streamed fold sees exactly the sequence a serial loop would have.
@@ -190,8 +191,9 @@ impl OnlineSketch {
     /// to `ssync_dsp::stats::percentile` over the same sample.
     ///
     /// # Panics
-    /// Panics if the stream is empty, `p` is outside `[0, 100]`, or the
-    /// sample contains a NaN (exactly as the batch path does).
+    /// Panics if the stream is empty or `p` is outside `[0, 100]` (as the
+    /// batch path does), or if the sample contains a NaN (which the batch
+    /// path sorts last).
     pub fn percentile(&mut self, p: f64) -> f64 {
         assert!(!self.values.is_empty(), "percentile of empty slice");
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
@@ -392,7 +394,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "NaN in streamed sample")]
-    fn nan_panics_like_the_batch_path() {
+    fn nan_in_a_streamed_sample_panics() {
         let mut sk = OnlineSketch::new();
         sk.extend(&[1.0, f64::NAN, 2.0]);
         let _ = sk.percentile(50.0);

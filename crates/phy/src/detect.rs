@@ -9,13 +9,27 @@
 //! SourceSync's phase-slope estimator (paper §4.2) is built to cancel.
 
 use crate::params::OfdmParams;
-use crate::preamble::{lts_symbol, PreambleLayout, STS_REPS};
+use crate::preamble::{lts_symbol, sts_period, PreambleLayout, STS_REPS};
 use crate::workspace::DetectScratch;
 use ssync_dsp::correlate::{
-    argmax, autocorrelation_metric_into, energy_ratio_into, normalized_cross_correlate_into,
+    argmax, autocorrelation_metric_into, normalized_cross_correlate_into, EnergyRatio, Template,
 };
 use ssync_dsp::{Complex64, FftPlan};
 use std::f64::consts::PI;
+
+/// Noise-only samples every capture site records ahead of (and behind) an
+/// expected frame, so the detector's energy trigger has the lead-in it
+/// needs (see [`Detector::min_lead_in`]).
+pub const CAPTURE_MARGIN: usize = 400;
+
+/// An upper bound on [`Detector::min_lead_in`] for every numerology up to
+/// a 128-point FFT (dot11a and wiglan): a frame with one whole energy
+/// window (`fft_size / 4` samples) of silence ahead of it drives the
+/// trigger's ratio to its `1e6` cap, so no detector needs more lead-in
+/// than that.
+pub const MAX_LEAD_IN: usize = 128 / 4;
+
+const _: () = assert!(CAPTURE_MARGIN > MAX_LEAD_IN);
 
 /// Tunable thresholds of the detector. Defaults match a standard 802.11
 /// front end: ~6 dB energy step, 0.5 plateau metric, 0.5 normalised LTS
@@ -78,7 +92,10 @@ impl Detection {
 #[derive(Debug, Clone)]
 pub struct Detector {
     config: DetectorConfig,
-    lts: Vec<Complex64>,
+    /// The LTS, prepared for fine-timing correlation.
+    lts: Template,
+    /// See [`Detector::min_lead_in`].
+    min_lead_in: usize,
 }
 
 impl Detector {
@@ -89,10 +106,22 @@ impl Detector {
 
     /// Builds a detector with explicit thresholds.
     pub fn with_config(params: &OfdmParams, fft: &FftPlan, config: DetectorConfig) -> Self {
+        let sts = sts_period(params, fft);
         Detector {
             config,
-            lts: lts_symbol(params, fft),
+            lts: Template::new(&lts_symbol(params, fft)),
+            min_lead_in: lead_in(&sts, config.energy_threshold),
         }
+    }
+
+    /// The fewest capture samples that must precede a frame's first sample
+    /// for this detector to find it: with less lead-in the trigger's first
+    /// window already holds too much of the short training for the energy
+    /// ratio to reach its threshold, and a noise-free frame is missed
+    /// (`None`). At most [`MAX_LEAD_IN`] for the numerologies here; capture
+    /// sites leave [`CAPTURE_MARGIN`] samples.
+    pub fn min_lead_in(&self) -> usize {
+        self.min_lead_in
     }
 
     /// Scans `samples` from `from` for a packet. Returns the first detection,
@@ -107,9 +136,9 @@ impl Detector {
     }
 
     /// [`Detector::detect`] through reusable [`DetectScratch`] buffers: the
-    /// energy/autocorrelation metrics and the CFO-corrected fine-timing
-    /// window live in `ws`, so repeated detections do not allocate at
-    /// steady state. Bit-identical to the allocating path.
+    /// autocorrelation metric, the CFO-corrected fine-timing window and its
+    /// LTS correlations live in `ws`, so repeated detections do not
+    /// allocate at steady state. Bit-identical to the allocating path.
     pub fn detect_with(
         &self,
         params: &OfdmParams,
@@ -124,22 +153,15 @@ impl Detector {
             return None;
         }
 
-        // 1. Coarse energy trigger.
-        let region = &samples[from..];
-        energy_ratio_into(region, period, &mut ws.ratios);
-        let ratios = &ws.ratios;
+        // 1. Coarse energy trigger, evaluated only as far as it is read.
+        let mut ratios = EnergyRatio::new(&samples[from..], period);
         let decim = self.config.decimation.max(1);
         let mut t = 0usize;
         loop {
             // Find the next threshold crossing at sample resolution, then
             // round the *firing instant* up to the pipeline's block grid:
             // hardware integrates continuously but reports per block.
-            while t < ratios.len() && ratios[t] < self.config.energy_threshold {
-                t += 1;
-            }
-            if t >= ratios.len() {
-                return None;
-            }
+            t = ratios.first_reaching(t, self.config.energy_threshold)?;
             t = t.div_ceil(decim) * decim;
             if t >= ratios.len() {
                 return None;
@@ -189,7 +211,7 @@ impl Detector {
             ws.local.extend_from_slice(&samples[search_lo..search_hi]);
             let local = &mut ws.local;
             apply_cfo(local, -coarse_cfo, params.sample_rate_hz);
-            normalized_cross_correlate_into(local, &self.lts, &mut ws.xc);
+            normalized_cross_correlate_into(local, &self.lts, &mut ws.corr, &mut ws.xc);
             let xc = &ws.xc;
             let peak = argmax(xc)?;
             if xc[peak] < self.config.xcorr_threshold {
@@ -229,6 +251,32 @@ impl Detector {
             });
         }
     }
+}
+
+/// [`Detector::min_lead_in`] for a trigger at `threshold` over a frame
+/// whose short training repeats `sts`: the smallest offset at which the
+/// energy ratio of a zero-padded frame reaches the threshold at the first
+/// window position. The ratio only falls after that position (the trail
+/// window sees one whole training period throughout, the lead window
+/// takes in more of the frame), and a frame one whole window in always
+/// fires (the silent lead window caps the ratio).
+fn lead_in(sts: &[Complex64], threshold: f64) -> usize {
+    let period = sts.len();
+    // Two windows: the first trigger position, and nothing after it.
+    let mut buf = vec![Complex64::ZERO; 2 * period];
+    (0..period)
+        .find(|&offset| {
+            for (i, s) in buf.iter_mut().enumerate() {
+                *s = match i.checked_sub(offset) {
+                    Some(k) => sts[k % period],
+                    None => Complex64::ZERO,
+                };
+            }
+            EnergyRatio::new(&buf, period)
+                .first_reaching(0, threshold)
+                .is_some()
+        })
+        .unwrap_or(period)
 }
 
 /// Rotates a waveform by a carrier frequency offset of `cfo_hz`

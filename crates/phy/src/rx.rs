@@ -10,13 +10,14 @@
 
 use crate::chanest::{self, ChannelEstimate};
 use crate::crc;
-use crate::detect::{apply_cfo, Detection, Detector, DetectorConfig};
+use crate::detect::{Detection, Detector, DetectorConfig};
 use crate::frame::{self, SignalField};
 use crate::modulation::{self, DemapTable};
 use crate::ofdm;
 use crate::params::Params;
 use crate::preamble::LTS_REPS;
 use crate::workspace::{RxWorkspace, SymbolLlrs, WorkspacePool};
+use ssync_dsp::mixer::apply_cfo_from;
 use ssync_dsp::stats;
 use ssync_dsp::{Complex64, FftPlan};
 
@@ -245,23 +246,30 @@ impl Receiver {
         let n = self.params.fft_size;
         let RxWorkspace {
             corrected,
+            corrected_from,
             grid,
             llrs,
             tables,
             decode,
             ..
         } = ws;
-        // CFO-correct a working copy. Rotation is referenced to sample 0 so
-        // all later windows share the same reference.
+        // CFO-correct a working copy from the first sample read on (the
+        // backed-off LTS window). Rotation is referenced to sample 0 so all
+        // windows share the same reference.
+        let b = self.window_backoff.min(det.lts_start);
+        let from = (det.lts_start - b).min(samples.len());
         corrected.clear();
         corrected.extend_from_slice(samples);
-        let buf: &[Complex64] = {
-            apply_cfo(corrected, -det.cfo_hz, self.params.sample_rate_hz);
-            corrected
-        };
+        apply_cfo_from(
+            &mut corrected[from..],
+            -det.cfo_hz,
+            self.params.sample_rate_hz,
+            from as f64,
+        );
+        *corrected_from = from;
+        let buf: &[Complex64] = corrected;
 
         // Channel estimate with the common window backoff.
-        let b = self.window_backoff.min(det.lts_start);
         let est = chanest::estimate_from_lts(&self.params, &self.fft, buf, det.lts_start - b);
         let timing_offset = chanest::detection_delay_samples(&self.params, &est, 3e6) - b as f64;
 
@@ -438,6 +446,7 @@ impl Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::apply_cfo;
     use crate::params::{OfdmParams, RateId};
     use crate::tx::Transmitter;
     use rand::rngs::StdRng;
@@ -595,6 +604,68 @@ mod tests {
         let buf = on_air(&wave, 120, 25.0, 14);
         let got = rx.receive(&buf).expect("decode failed");
         assert_eq!(got.signal.flags & frame::FLAG_JOINT, frame::FLAG_JOINT);
+    }
+
+    #[test]
+    fn frames_need_the_detector_lead_in() {
+        // Noise-free: a frame one sample short of the lead-in is missed, a
+        // frame at the lead-in decodes, on both numerologies.
+        for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
+            let tx = Transmitter::new(params.clone());
+            let rx = Receiver::new(params.clone());
+            let lead_in = rx.detector.min_lead_in();
+            assert!(lead_in > 0 && lead_in <= crate::detect::MAX_LEAD_IN);
+            assert!(lead_in <= params.fft_size / 4);
+            let payload = [0x3C; 24];
+            let wave = tx.frame_waveform(&payload, RateId::R6, 0);
+            let at = |offset: usize| {
+                let mut buf = vec![Complex64::ZERO; offset];
+                buf.extend_from_slice(&wave);
+                buf.resize(buf.len() + 200, Complex64::ZERO);
+                rx.receive(&buf)
+            };
+            let n = params.fft_size;
+            assert!(
+                matches!(at(lead_in - 1), Err(RxError::NoPacket)),
+                "N={n}: frame at lead-in - 1 = {}",
+                lead_in - 1
+            );
+            // At the lead-in and at any longer one, up to the capture margin.
+            for offset in (lead_in..=crate::detect::CAPTURE_MARGIN).step_by(17) {
+                let got = at(offset).unwrap_or_else(|e| panic!("N={n}: frame at {offset}: {e}"));
+                assert_eq!(got.payload, payload);
+                assert_eq!(got.diag.detection.packet_start(&params), offset as isize);
+            }
+        }
+    }
+
+    #[test]
+    fn corrected_capture_matches_a_fresh_rotation() {
+        for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
+            let tx = Transmitter::new(params.clone());
+            let rx = Receiver::new(params.clone());
+            let mut wave = tx.frame_waveform(&[0x77; 90], RateId::R12, 0);
+            apply_cfo(&mut wave, -41e3, params.sample_rate_hz);
+            let buf = on_air(&wave, 350, 25.0, 15);
+            let mut ws = RxWorkspace::new(&params);
+            let got = rx.receive_with(&buf, &mut ws).expect("decode");
+            let det = got.diag.detection;
+            let (from, corrected) = ws.corrected();
+            assert_eq!(from, det.lts_start - params.cp_len / 4);
+            assert_eq!(corrected.len(), buf.len());
+            let mut fresh = buf.clone();
+            apply_cfo(&mut fresh, -det.cfo_hz, params.sample_rate_hz);
+            for i in from..buf.len() {
+                assert_eq!(
+                    (corrected[i].re.to_bits(), corrected[i].im.to_bits()),
+                    (fresh[i].re.to_bits(), fresh[i].im.to_bits()),
+                    "N={} sample {i}",
+                    params.fft_size
+                );
+            }
+            // Before `from`, the capture as recorded.
+            assert_eq!(&corrected[..from], &buf[..from]);
+        }
     }
 
     #[test]

@@ -154,13 +154,14 @@ impl Default for DemapTables {
     }
 }
 
-/// Packet-detector scratch: the correlation/energy metric vectors and the
-/// CFO-corrected search window behind `Detector::detect_with`.
+/// Packet-detector scratch: the short-training metric, the CFO-corrected
+/// fine-timing window and its raw and normalised LTS correlations behind
+/// `Detector::detect_with`.
 #[derive(Debug, Clone, Default)]
 pub struct DetectScratch {
-    pub(crate) ratios: Vec<f64>,
     pub(crate) metric: Vec<f64>,
     pub(crate) local: Vec<Complex64>,
+    pub(crate) corr: Vec<Complex64>,
     pub(crate) xc: Vec<f64>,
 }
 
@@ -176,8 +177,11 @@ impl DetectScratch {
 /// without per-symbol allocation.
 #[derive(Debug, Clone)]
 pub struct RxWorkspace {
-    /// CFO-corrected working copy of the capture.
+    /// Working copy of the capture, CFO-corrected from `corrected_from`
+    /// on (see [`RxWorkspace::corrected`]).
     pub(crate) corrected: Vec<Complex64>,
+    /// First corrected sample of `corrected`.
+    pub(crate) corrected_from: usize,
     /// Per-symbol demodulated subcarrier grid.
     pub(crate) grid: Vec<Complex64>,
     /// Per-symbol LLR pool (SIGNAL and DATA spans reuse it in turn).
@@ -197,12 +201,31 @@ impl RxWorkspace {
     pub fn new(params: &OfdmParams) -> Self {
         RxWorkspace {
             corrected: Vec::new(),
+            corrected_from: 0,
             grid: Vec::with_capacity(params.fft_size),
             llrs: SymbolLlrs::new(),
             tables: DemapTables::new(),
             detect: DetectScratch::new(),
             decode: DecodeScratch::new(),
         }
+    }
+}
+
+impl RxWorkspace {
+    /// The CFO-corrected capture of the last frame received through this
+    /// workspace, as `(from, samples)`: `samples` is indexed like the
+    /// capture, and every `samples[i]` with `i >= from` is capture sample
+    /// `i` rotated by the detected CFO with the phase referenced to capture
+    /// sample 0 — bit-equal to `apply_cfo(capture, -cfo_hz, fs)` over the
+    /// whole capture. `from` is the first sample the receiver reads, the
+    /// start of its backed-off LTS window (`lts_start` less the window
+    /// backoff); the samples before it are left as captured, uncorrected.
+    ///
+    /// Valid after any `Receiver` receive call on this workspace that got
+    /// past detection (every result but `RxError::NoPacket`); the next such
+    /// call overwrites it.
+    pub fn corrected(&self) -> (usize, &[Complex64]) {
+        (self.corrected_from, &self.corrected)
     }
 }
 

@@ -16,11 +16,10 @@ use ssync_phy::workspace::WorkspacePool;
 use ssync_phy::{crc, Params, RateId, Receiver, Transmitter};
 use ssync_sim::{Duration, Network, NodeId, Time};
 
+pub use ssync_phy::detect::CAPTURE_MARGIN;
+
 /// Broadcast MAC address (ExOR data frames, batch maps).
 pub const BROADCAST: u16 = 0xFFFF;
-
-/// Noise-only margin (samples) captured around every frame.
-pub const CAPTURE_MARGIN: usize = 400;
 
 /// The planned modem machinery one testbed run reuses for every frame.
 ///
