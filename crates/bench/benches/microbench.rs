@@ -6,15 +6,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_channel::Multipath;
 use ssync_dsp::rng::ComplexGaussian;
-use ssync_dsp::{Complex64, Fft};
+use ssync_dsp::{Complex64, FftPlan};
 use ssync_linprog::MisalignmentProblem;
-use ssync_phy::{OfdmParams, RateId, Receiver, Transmitter};
+use ssync_phy::{OfdmParams, RateId, Receiver, RxWorkspace, Transmitter};
 
 fn bench_fft(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let gauss = ComplexGaussian::unit();
     for n in [64usize, 128] {
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let input = gauss.sample_vec(&mut rng, n);
         c.bench_function(&format!("fft_forward_{n}"), |b| {
             b.iter_batched(
@@ -33,8 +33,10 @@ fn bench_viterbi(c: &mut Criterion) {
     bits.extend([0u8; 6]);
     let coded = ssync_phy::convcode::encode_half(&bits);
     let llrs = ssync_phy::viterbi::llrs_from_bits(&coded);
+    let mut dec = ssync_phy::viterbi::ViterbiDecoder::new();
+    let mut decoded = Vec::new();
     c.bench_function("viterbi_decode_1000bits", |b| {
-        b.iter(|| ssync_phy::viterbi::decode_terminated(&llrs).unwrap())
+        b.iter(|| assert!(dec.decode_terminated_into(&llrs, &mut decoded)))
     });
 }
 
@@ -59,14 +61,15 @@ fn bench_full_frame(c: &mut Criterion) {
             *s += noise.sample(&mut rng);
         }
     }
+    let mut ws = RxWorkspace::new(&params);
     c.bench_function("rx_frame_1460B_r24", |b| {
-        b.iter(|| rx.receive(&buf).expect("decodes"))
+        b.iter(|| rx.receive_with(&buf, &mut ws).expect("decodes"))
     });
 }
 
 fn bench_detection(c: &mut Criterion) {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let det = ssync_phy::Detector::new(&params, &fft);
     let pre = ssync_phy::preamble::preamble_waveform(&params, &fft);
     let mut rng = StdRng::seed_from_u64(4);
@@ -111,8 +114,10 @@ fn bench_wait_lp(c: &mut Criterion) {
 fn bench_fractional_delay(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let sig = ComplexGaussian::unit().sample_vec(&mut rng, 2000);
+    let mut ws = ssync_dsp::delay::DelayWorkspace::new();
+    let mut out = Vec::new();
     c.bench_function("fractional_delay_2k_samples", |b| {
-        b.iter(|| ssync_dsp::delay::fractional_delay(&sig, 0.37))
+        b.iter(|| ssync_dsp::delay::fractional_delay_into(&sig, 0.37, &mut ws, &mut out))
     });
 }
 

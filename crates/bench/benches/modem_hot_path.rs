@@ -1,9 +1,8 @@
 //! `modem_hot_path` — the performance baseline of the zero-allocation
 //! modem workspaces.
 //!
-//! Three tiers of the sample-level hot path, each benchmarked through the
-//! legacy allocating entry point AND the workspace-threaded `_with`
-//! variant (which is bit-identical, per the differential suite):
+//! Three tiers of the sample-level hot path, each benchmarked through a
+//! warmed, reused workspace:
 //!
 //! 1. **end-to-end frame rx** — detection → channel estimation →
 //!    equalisation → Viterbi → CRC of a 1460-byte frame,
@@ -22,12 +21,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_channel::Position;
 use ssync_core::{
-    decode_joint_data, decode_joint_data_with, joint_data_waveform, CombineWorkspace, CosenderPlan,
-    DataSectionSpec, DelayDatabase, JointConfig, JointDataWindow, JointSession, RoleChannels,
-    SessionWorkspace,
+    decode_joint_data_with, joint_data_waveform, CombineWorkspace, CosenderPlan, DataSectionSpec,
+    DelayDatabase, JointConfig, JointDataWindow, JointSession, RoleChannels, SessionWorkspace,
 };
 use ssync_dsp::rng::ComplexGaussian;
-use ssync_dsp::{Complex64, Fft};
+use ssync_dsp::{Complex64, FftPlan};
 use ssync_phy::chanest::ChannelEstimate;
 use ssync_phy::workspace::WorkspacePool;
 use ssync_phy::{frame, OfdmParams, RateId, Receiver, RxWorkspace, Transmitter};
@@ -45,9 +43,6 @@ fn bench_frame_rx(c: &mut Criterion) {
     buf.extend(wave);
     buf.extend(noise.sample_vec(&mut rng, 200));
 
-    c.bench_function("frame_rx_1460B_r24_legacy", |b| {
-        b.iter(|| rx.receive(&buf).expect("decodes"))
-    });
     let mut ws = RxWorkspace::new(&params);
     let _ = rx.receive_with(&buf, &mut ws).expect("warmup");
     c.bench_function("frame_rx_1460B_r24_workspace", |b| {
@@ -69,7 +64,7 @@ fn bench_frame_rx(c: &mut Criterion) {
 
 fn bench_joint_combine(c: &mut Criterion) {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let mut rng = StdRng::seed_from_u64(2);
     let psdu: Vec<u8> = (0..700).map(|_| rng.gen()).collect();
     let spec = DataSectionSpec {
@@ -103,9 +98,6 @@ fn bench_joint_combine(c: &mut Criterion) {
         backoff: 0,
     };
 
-    c.bench_function("joint_combine_700B_r12_legacy", |b| {
-        b.iter(|| decode_joint_data(&params, &fft, &buf, &window, &spec, &roles).expect("decodes"))
-    });
     let mut ws = CombineWorkspace::new(&params);
     c.bench_function("joint_combine_700B_r12_workspace", |b| {
         b.iter(|| {
@@ -157,10 +149,6 @@ fn session_fixture() -> (Network, DelayDatabase, JointSession) {
 fn bench_session_step(c: &mut Criterion) {
     let (mut net, db, session) = session_fixture();
 
-    let mut rng = StdRng::seed_from_u64(4);
-    c.bench_function("session_step_2co_1rx_legacy", |b| {
-        b.iter(|| session.run(&mut net, &mut rng, &db))
-    });
     let mut ws = SessionWorkspace::new(net.params.clone());
     let mut rng = StdRng::seed_from_u64(4);
     c.bench_function("session_step_2co_1rx_workspace", |b| {

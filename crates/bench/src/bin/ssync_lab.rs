@@ -24,8 +24,8 @@
 //!
 //! Flags for `run`:
 //!
-//! * `--threads N` — worker count (default: `SSYNC_THREADS` env, else all
-//!   cores). Output is byte-identical for every `N`.
+//! * `--threads N` — worker count (default: all cores). Output is
+//!   byte-identical for every `N`.
 //! * `--trials K` — trial multiplier. The flag wins over the
 //!   `SSYNC_TRIALS` env (see `ssync_exp::resolve_trials`); a malformed
 //!   flag is a hard error, never a silent fallback.
@@ -115,7 +115,7 @@ fn run(args: &[String]) {
         ));
     };
 
-    let mut cfg = RunConfig::from_env();
+    let mut cfg = RunConfig::default();
     let mut trials_flag: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;

@@ -3,14 +3,14 @@
 //! [`scenarios`] module holding every figure reproduction as a declarative
 //! `ssync_exp` scenario.
 //!
-//! Each scenario prints TSV to stdout (comment lines start with `#`),
-//! scales its iteration counts with the `SSYNC_TRIALS` env var (e.g.
-//! `SSYNC_TRIALS=4` for 4× the default sample counts), parallelises
-//! across `SSYNC_THREADS` workers (default: all cores) without changing a
-//! byte of output, and derives all randomness from fixed seeds so output
-//! is reproducible byte-for-byte. The generic machinery (parallel
-//! executor, sweeps, aggregation, sinks) lives in `ssync_exp`; this crate
-//! contributes the physics.
+//! Each scenario runs through `ssync-lab run <scenario>`: it prints TSV to
+//! stdout (comment lines start with `#`), scales its iteration counts with
+//! `--trials` or the `SSYNC_TRIALS` env var (e.g. `SSYNC_TRIALS=4` for 4×
+//! the default sample counts), parallelises across `--threads` workers
+//! (default: all cores) without changing a byte of output, and derives all
+//! randomness from fixed seeds so output is reproducible byte-for-byte.
+//! The generic machinery (parallel executor, sweeps, aggregation, sinks)
+//! lives in `ssync_exp`; this crate contributes the physics.
 
 // No unsafe anywhere in this crate: the determinism contract is easier
 // to audit when the only unsafe in the workspace is ssync_phy's fenced
@@ -22,7 +22,9 @@ pub mod scenarios;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_channel::{FloorPlan, Position};
-use ssync_core::{CosenderPlan, DelayDatabase, JointConfig, JointOutcome, JointSession};
+use ssync_core::{
+    CosenderPlan, DelayDatabase, JointConfig, JointOutcome, JointSession, SessionWorkspace,
+};
 use ssync_phy::Params;
 use ssync_sim::{ChannelModels, Network, NodeId};
 
@@ -98,8 +100,8 @@ pub fn converged_joint(
 }
 
 /// Runs one joint transmission with an explicit wait, through the staged
-/// [`JointSession`] (identical in every byte to the historical
-/// `run_joint_transmission` path — the golden tests pin this).
+/// [`JointSession`] with a fresh workspace (identical in every byte to the
+/// historical one-call driver — the golden tests pin this).
 pub fn run_once(
     net: &mut Network,
     rng: &mut StdRng,
@@ -108,6 +110,7 @@ pub fn run_once(
     db: &DelayDatabase,
     wait_s: f64,
 ) -> JointOutcome {
+    let mut ws = SessionWorkspace::new(net.params.clone());
     JointSession::new(LEAD)
         .cosender(CosenderPlan {
             node: COSENDER,
@@ -116,7 +119,7 @@ pub fn run_once(
         .receiver(RECEIVER)
         .payload(payload)
         .config(*cfg)
-        .run(net, rng, db)
+        .run_with(net, rng, db, &mut ws)
 }
 
 /// A random payload of `len` bytes.

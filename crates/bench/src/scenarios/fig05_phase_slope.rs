@@ -7,9 +7,9 @@
 //!
 //! Output: TSV `subcarrier  phase_at_detection  phase_at_detection_plus_delta`.
 
-use ssync_dsp::delay::fractional_delay;
+use ssync_dsp::delay::{fractional_delay_into, DelayWorkspace};
 use ssync_dsp::stats::unwrap_phases;
-use ssync_dsp::Fft;
+use ssync_dsp::FftPlan;
 use ssync_exp::{Ctx, Output, Scenario, Value};
 use ssync_phy::chanest::estimate_from_lts;
 use ssync_phy::preamble::{preamble_waveform, PreambleLayout};
@@ -33,7 +33,7 @@ impl Scenario for Fig05PhaseSlope {
 
     fn run(&self, _ctx: &Ctx, out: &mut Output) {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let pre = preamble_waveform(&params, &fft);
         let layout = PreambleLayout::of(&params);
         let delta = 4.0; // induced detection offset, samples
@@ -42,7 +42,8 @@ impl Scenario for Fig05PhaseSlope {
         // the detected position, once processing the packet as if detected
         // ∆ samples later (the paper's "Initial Detection + ∆" curve).
         let guard = 16usize;
-        let rx = fractional_delay(&pre, guard as f64);
+        let mut rx = Vec::new();
+        fractional_delay_into(&pre, guard as f64, &mut DelayWorkspace::new(), &mut rx);
         let est0 = estimate_from_lts(&params, &fft, &rx, guard + layout.lts_start());
         let est_delta = estimate_from_lts(
             &params,

@@ -6,7 +6,7 @@
 //! multi-receiver min-max LP, then one joint frame decoded at *two*
 //! receivers. Reported per cell: how many co-senders joined, the decode
 //! rate across both receivers, and the typed join-failure breakdown that
-//! the staged API surfaces (`run_joint_transmission`'s silent `continue`s
+//! the staged API surfaces (the monolithic driver's silent `continue`s
 //! made these counts unmeasurable).
 //!
 //! Output: TSV
@@ -16,7 +16,9 @@ use crate::random_payload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssync_channel::{FloorPlan, Position};
-use ssync_core::{CosenderPlan, DelayDatabase, JoinFailure, JointConfig, JointSession};
+use ssync_core::{
+    CosenderPlan, DelayDatabase, JoinFailure, JointConfig, JointSession, SessionWorkspace,
+};
 use ssync_dsp::stats::mean;
 use ssync_exp::{Ctx, Output, Scenario, Value};
 use ssync_phy::{OfdmParams, RateId};
@@ -67,7 +69,12 @@ fn one_placement(params: &ssync_phy::Params, n_co: usize, snr_db: f64, seed: u64
             cp_extension: 32,
             ..Default::default()
         })
-        .run(&mut net, &mut rng, &db);
+        .run_with(
+            &mut net,
+            &mut rng,
+            &db,
+            &mut SessionWorkspace::new(params.clone()),
+        );
 
     let decodes = out
         .reports

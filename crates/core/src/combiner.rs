@@ -210,30 +210,9 @@ pub struct JointDataWindow {
 /// channels from the JCE.
 ///
 /// Returns the PSDU candidate (before CRC checking) and combiner stats, or
-/// `None` if the buffer is too short.
-pub fn decode_joint_data(
-    params: &Params,
-    fft: &FftPlan,
-    buf: &[Complex64],
-    window: &JointDataWindow,
-    spec: &DataSectionSpec,
-    roles: &RoleChannels,
-) -> Option<(Option<Vec<u8>>, CombinerStats)> {
-    decode_joint_data_with(
-        params,
-        fft,
-        buf,
-        window,
-        spec,
-        roles,
-        &mut CombineWorkspace::new(params),
-    )
-}
-
-/// [`decode_joint_data`] through a reusable [`CombineWorkspace`]: the
-/// per-pair grids, LLR pool, and demap scratch live in `ws`, so the
-/// symbol-pair loop is allocation-free at steady state. Bit-identical to
-/// the allocating path.
+/// `None` if the buffer is too short. The per-pair grids, LLR pool, and
+/// demap scratch live in `ws`, so the symbol-pair loop is allocation-free
+/// at steady state; the result does not depend on what `ws` held before.
 pub fn decode_joint_data_with(
     params: &Params,
     fft: &FftPlan,
@@ -348,9 +327,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use ssync_dsp::rng::ComplexGaussian;
-    use ssync_dsp::Fft;
+    use ssync_dsp::FftPlan;
     use ssync_phy::chanest::ChannelEstimate;
     use ssync_phy::OfdmParams;
+
+    /// [`decode_joint_data_with`] through a fresh workspace.
+    fn decode_joint_data(
+        params: &ssync_phy::Params,
+        fft: &FftPlan,
+        buf: &[Complex64],
+        window: &JointDataWindow,
+        spec: &DataSectionSpec,
+        roles: &RoleChannels,
+    ) -> Option<(Option<Vec<u8>>, CombinerStats)> {
+        let mut ws = CombineWorkspace::new(params);
+        decode_joint_data_with(params, fft, buf, window, spec, roles, &mut ws)
+    }
 
     /// Builds role channels with constant per-sender gains.
     fn const_roles(
@@ -403,7 +395,7 @@ mod tests {
     #[test]
     fn joint_roundtrip_flat_channels() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(1);
         let psdu: Vec<u8> = (0..200).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
@@ -438,7 +430,7 @@ mod tests {
         // The §6 story end-to-end: h_B = −h_A nulls naive transmission but
         // not the Alamouti-coded one.
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(3);
         let psdu: Vec<u8> = (0..100).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
@@ -473,7 +465,7 @@ mod tests {
     fn lone_lead_still_decodes() {
         // Subset decodability: role B absent entirely.
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(6);
         let psdu: Vec<u8> = (0..80).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
@@ -508,7 +500,7 @@ mod tests {
         // Give role B a slow continuous rotation (residual CFO after
         // pre-correction) and check the pilots keep the decode alive.
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(7);
         let psdu: Vec<u8> = (0..150).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
@@ -544,7 +536,7 @@ mod tests {
     #[test]
     fn short_buffer_returns_none() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let roles = const_roles(&params, Complex64::ONE, Complex64::ONE, 1e-3);
         let buf = vec![Complex64::ZERO; 10];
         let window = JointDataWindow {

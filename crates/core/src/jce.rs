@@ -37,7 +37,9 @@ pub fn estimate_from_training_slot(
     let mut grids = Vec::with_capacity(2);
     for rep in 0..2 {
         let offset = slot_start + rep * sym_len + cp_len - b;
-        grids.push(ofdm::demodulate_window(params, fft, buf, offset));
+        let mut grid = Vec::with_capacity(n);
+        ofdm::demodulate_window_into(params, fft, buf, offset, &mut grid);
+        grids.push(grid);
     }
     let mut carriers = Vec::with_capacity(refs.len());
     let mut values = Vec::with_capacity(refs.len());
@@ -184,14 +186,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ssync_dsp::rng::ComplexGaussian;
-    use ssync_dsp::Fft;
+    use ssync_dsp::FftPlan;
     use ssync_phy::preamble::cosender_training;
     use ssync_phy::OfdmParams;
 
     #[test]
     fn training_slot_estimate_recovers_unit_channel() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let cp = 20;
         let slot = cosender_training(&params, &fft, cp);
         let mut buf = vec![Complex64::ZERO; 40];
@@ -209,7 +211,7 @@ mod tests {
     #[test]
     fn training_slot_estimate_with_noise() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let cp = 20;
         let slot = cosender_training(&params, &fft, cp);
         let mut rng = StdRng::seed_from_u64(1);
@@ -228,7 +230,7 @@ mod tests {
     #[test]
     fn energy_ratio_discriminates_presence() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let cp = 16;
         let slot = cosender_training(&params, &fft, cp);
         let mut rng = StdRng::seed_from_u64(2);

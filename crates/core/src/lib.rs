@@ -24,8 +24,7 @@
 //! * [`session`] — the staged, per-role [`JointSession`] protocol driver
 //!   over the sample-level medium (`LeadTx` → `CosenderJoin` →
 //!   `ReceiverDecode`, with typed [`JoinFailure`] join diagnostics),
-//! * [`joint`] — the protocol vocabulary plus the one-call
-//!   [`run_joint_transmission`] compatibility wrapper over the session.
+//! * [`joint`] — the protocol vocabulary the session speaks.
 
 // No unsafe anywhere in this crate: the determinism contract is easier
 // to audit when the only unsafe in the workspace is ssync_phy's fenced
@@ -41,11 +40,11 @@ pub mod timeline;
 pub mod wire;
 
 pub use combiner::{
-    decode_joint_data, decode_joint_data_with, joint_data_waveform, joint_data_waveform_into,
-    CombineWorkspace, CombinerStats, DataSectionSpec, JointDataWindow,
+    decode_joint_data_with, joint_data_waveform, joint_data_waveform_into, CombineWorkspace,
+    CombinerStats, DataSectionSpec, JointDataWindow,
 };
 pub use jce::RoleChannels;
-pub use joint::{run_joint_transmission, CosenderPlan, JointConfig, JointOutcome, ReceiverReport};
+pub use joint::{CosenderPlan, JointConfig, JointOutcome, ReceiverReport};
 pub use session::{
     CosenderJoin, CosenderOutcome, CosenderTx, JoinFailure, JointSession, LeadFrame, LeadTx,
     ReceiverDecode, SessionWorkspace,

@@ -1,11 +1,10 @@
 //! The staged joint-transmission API: one [`JointSession`] per joint
 //! frame, driven role by role.
 //!
-//! [`run_joint_transmission`](crate::joint::run_joint_transmission) plays
-//! the whole §4.4 protocol in one opaque call; this module exposes the
-//! same protocol as *explicit, separately-invocable stages*, each a
-//! per-node struct with its own inputs and outputs, all sharing the
-//! medium through [`ssync_sim::Network`]:
+//! The §4.4 protocol is a set of *explicit, separately-invocable stages*,
+//! each a per-node struct with its own inputs and outputs, all sharing the
+//! medium through [`ssync_sim::Network`] and the planned machinery through
+//! one [`SessionWorkspace`]:
 //!
 //! * [`LeadTx`] — the lead sender's role: lays out the frame geometry
 //!   ([`LeadFrame`]), schedules the sync header, and schedules the lead's
@@ -19,15 +18,15 @@
 //! * [`ReceiverDecode`] — one receiver's role: joint channel estimation,
 //!   space-time combining, and the §4.5 misalignment report.
 //!
-//! [`JointSession::run`] drives all three stages in protocol order and is
-//! what the compatibility wrapper delegates to — its outputs are
-//! byte-identical to the historical monolith. Driving the stages yourself
-//! is what the monolith could never do: joining a co-sender against a
-//! *different* session's frame (stale-packet experiments), skipping the
-//! lead entirely, or decoding at receivers the senders never planned for.
+//! [`JointSession::run_with`] drives all three stages in protocol order —
+//! its outputs are byte-identical to the historical monolithic driver.
+//! Driving the stages yourself is what the monolith could never do:
+//! joining a co-sender against a *different* session's frame
+//! (stale-packet experiments), skipping the lead entirely, or decoding at
+//! receivers the senders never planned for.
 //!
 //! ```no_run
-//! # use ssync_core::session::JointSession;
+//! # use ssync_core::session::{JointSession, SessionWorkspace};
 //! # use ssync_core::{CosenderPlan, DelayDatabase, JointConfig};
 //! # use ssync_sim::{Network, NodeId};
 //! # use rand::rngs::StdRng;
@@ -39,10 +38,13 @@
 //!     .receiver(NodeId(2))
 //!     .payload(b"hello".to_vec())
 //!     .config(JointConfig::default());
-//! // Staged: every role separately.
-//! let frame = session.lead_tx().transmit(net);
-//! let join = session.cosender_join(0, &frame).join(net, &mut rng, db);
-//! let report = session.receiver_decode(NodeId(2), &frame).decode(net, &mut rng);
+//! // Staged: every role separately, through one workspace.
+//! let mut ws = SessionWorkspace::new(net.params.clone());
+//! let frame = session.lead_tx().transmit_with(net, &mut ws);
+//! let join = session.cosender_join(0, &frame).join_with(net, &mut rng, db, &mut ws);
+//! let report = session
+//!     .receiver_decode(NodeId(2), &frame)
+//!     .decode_with(net, &mut rng, &mut ws);
 //! # let _ = (join, report);
 //! # }
 //! ```
@@ -188,7 +190,7 @@ pub struct LeadFrame {
 /// One joint transmission, described once and driven stage by stage.
 ///
 /// Build with [`JointSession::new`] + the chained setters, then either
-/// call [`run`](JointSession::run) (the whole protocol, in order) or
+/// call [`run_with`](JointSession::run_with) (the whole protocol, in order) or
 /// invoke the per-role stages yourself via [`lead_tx`](JointSession::lead_tx),
 /// [`cosender_join`](JointSession::cosender_join) and
 /// [`receiver_decode`](JointSession::receiver_decode).
@@ -298,22 +300,9 @@ impl JointSession {
     /// Runs the complete protocol: lead transmission, every co-sender's
     /// join attempt (in slot order), then every receiver's decode — the
     /// exact stage order (and RNG consumption order) of the historical
-    /// monolith, so the compatibility wrapper stays byte-identical.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        net: &mut Network,
-        rng: &mut R,
-        db: &DelayDatabase,
-    ) -> JointOutcome {
-        // One set of planned machinery (FFT tables, detector, modem,
-        // scratch buffers) for the whole frame; the stage wrappers build
-        // their own when invoked standalone.
-        self.run_with(net, rng, db, &mut SessionWorkspace::new(net.params.clone()))
-    }
-
-    /// [`JointSession::run`] through a reusable [`SessionWorkspace`]:
-    /// callers driving many sessions reuse all planned machinery and
-    /// scratch across frames. Bit-identical to [`JointSession::run`].
+    /// monolith, so its outputs stay byte-identical. Callers driving many
+    /// sessions reuse `ws`, with all its planned machinery and scratch,
+    /// across frames; the outcome does not depend on what `ws` held before.
     pub fn run_with<R: Rng + ?Sized>(
         &self,
         net: &mut Network,
@@ -377,13 +366,11 @@ pub fn ground_truth_misalign_s(
 /// numerology, FFT tables, the modem transmitter, the detector-equipped
 /// receiver, and the reusable TX/RX/combine workspaces.
 ///
-/// Built once per [`JointSession::run`]; a stage invoked through its
-/// allocating entry point builds a throwaway one. Callers driving many
-/// sessions (sweeps, benches, the last-hop downlink) hold one
-/// `SessionWorkspace` per thread and pass it to the `_with` stage variants
-/// — each stage then runs its per-symbol hot loops without heap
-/// allocation, and the outputs stay byte-identical to the allocating
-/// paths.
+/// Every stage and [`JointSession::run_with`] take one. Callers driving
+/// many sessions (sweeps, benches, the last-hop downlink) hold one
+/// `SessionWorkspace` per thread — each stage then runs its per-symbol hot
+/// loops without heap allocation — and the outputs are byte-identical to
+/// those of a fresh workspace per call.
 pub struct SessionWorkspace {
     params: Params,
     fft: FftPlan,
@@ -461,11 +448,6 @@ impl LeadTx<'_> {
     /// Clears the medium, schedules the sync header at `t0` and the lead's
     /// space-time-coded data after the SIFS + training slots, and returns
     /// the frame the other stages key off.
-    pub fn transmit(&self, net: &mut Network) -> LeadFrame {
-        self.transmit_with(net, &mut SessionWorkspace::new(net.params.clone()))
-    }
-
-    /// [`LeadTx::transmit`] through a reusable [`SessionWorkspace`].
     pub fn transmit_with(&self, net: &mut Network, ws: &mut SessionWorkspace) -> LeadFrame {
         let s = self.session;
         let frame_sched = self.schedule(&ws.params);
@@ -563,16 +545,6 @@ impl CosenderJoin<'_> {
     /// Attempts the join. On success the co-sender's training and data are
     /// on the medium and the returned [`CosenderTx`] records its timing;
     /// on failure nothing was transmitted and the reason is typed.
-    pub fn join<R: Rng + ?Sized>(
-        &self,
-        net: &mut Network,
-        rng: &mut R,
-        db: &DelayDatabase,
-    ) -> Result<CosenderTx, JoinFailure> {
-        self.join_with(net, rng, db, &mut SessionWorkspace::new(net.params.clone()))
-    }
-
-    /// [`CosenderJoin::join`] through a reusable [`SessionWorkspace`].
     pub fn join_with<R: Rng + ?Sized>(
         &self,
         net: &mut Network,
@@ -764,11 +736,6 @@ impl ReceiverDecode<'_> {
     }
 
     /// Captures this receiver's view of the joint frame and decodes it.
-    pub fn decode<R: Rng + ?Sized>(&self, net: &mut Network, rng: &mut R) -> ReceiverReport {
-        self.decode_with(net, rng, &mut SessionWorkspace::new(net.params.clone()))
-    }
-
-    /// [`ReceiverDecode::decode`] through a reusable [`SessionWorkspace`].
     pub fn decode_with<R: Rng + ?Sized>(
         &self,
         net: &mut Network,
@@ -991,42 +958,50 @@ mod tests {
 
     #[test]
     fn staged_run_matches_monolith_wrapper() {
-        // Same seeds through the staged driver and the compatibility
-        // wrapper must give bit-identical outcomes.
+        // Same seeds through the one-call driver (one workspace for the
+        // frame) and through the stages invoked one by one (a fresh
+        // workspace each) must give bit-identical outcomes.
         let payload: Vec<u8> = (0..180u16).map(|i| (i * 7 % 256) as u8).collect();
         let mut net_a = test_network(21);
         let db_a = measured_db(&mut net_a, 22);
         let sol = db_a
             .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
             .unwrap();
+        let s = session(&payload, sol.waits[0]);
         let mut rng = StdRng::seed_from_u64(23);
-        let staged = session(&payload, sol.waits[0]).run(&mut net_a, &mut rng, &db_a);
+        let mut ws = SessionWorkspace::new(net_a.params.clone());
+        let whole = s.run_with(&mut net_a, &mut rng, &db_a, &mut ws);
 
         let mut net_b = test_network(21);
         let db_b = measured_db(&mut net_b, 22);
         let mut rng = StdRng::seed_from_u64(23);
-        let wrapped = crate::joint::run_joint_transmission(
-            &mut net_b,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
-                node: NodeId(1),
-                wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db_b,
-            &JointConfig::default(),
-        );
+        let params = net_b.params.clone();
+        let fresh = || SessionWorkspace::new(params.clone());
+        let frame = s.lead_tx().transmit_with(&mut net_b, &mut fresh());
+        let join = s
+            .cosender_join(0, &frame)
+            .join_with(&mut net_b, &mut rng, &db_b, &mut fresh());
+        let report =
+            s.receiver_decode(NodeId(2), &frame)
+                .decode_with(&mut net_b, &mut rng, &mut fresh());
+        let cosenders = [CosenderOutcome {
+            node: NodeId(1),
+            join,
+        }];
+        let truth = ground_truth_misalign_s(&net_b, NodeId(0), &frame, &cosenders, NodeId(2));
+
         assert_eq!(
-            staged.reports[0].payload, wrapped.reports[0].payload,
+            whole.reports[0].payload, report.payload,
             "payloads diverged"
         );
-        assert_eq!(staged.true_misalign_s, wrapped.true_misalign_s);
-        assert_eq!(staged.co_tx_times, wrapped.co_tx_times);
+        assert_eq!(whole.true_misalign_s, vec![truth]);
         assert_eq!(
-            staged.reports[0].measured_misalign_s,
-            wrapped.reports[0].measured_misalign_s
+            whole.co_tx_times,
+            vec![cosenders[0].join.as_ref().ok().map(|tx| tx.training_time)]
+        );
+        assert_eq!(
+            whole.reports[0].measured_misalign_s,
+            report.measured_misalign_s
         );
     }
 
@@ -1040,12 +1015,15 @@ mod tests {
             .unwrap();
         let s = session(&payload, sol.waits[0]);
         let mut rng = StdRng::seed_from_u64(33);
-        let frame = s.lead_tx().transmit(&mut net);
-        let join = s.cosender_join(0, &frame).join(&mut net, &mut rng, &db);
+        let mut ws = SessionWorkspace::new(net.params.clone());
+        let frame = s.lead_tx().transmit_with(&mut net, &mut ws);
+        let join = s
+            .cosender_join(0, &frame)
+            .join_with(&mut net, &mut rng, &db, &mut ws);
         assert!(join.is_ok(), "join failed: {join:?}");
         let report = s
             .receiver_decode(NodeId(2), &frame)
-            .decode(&mut net, &mut rng);
+            .decode_with(&mut net, &mut rng, &mut ws);
         assert!(report.header_ok);
         assert_eq!(report.payload.as_deref(), Some(&payload[..]));
     }
@@ -1073,10 +1051,11 @@ mod tests {
         let s = session(&payload, 0.0);
         let empty_db = DelayDatabase::new();
         let mut rng = StdRng::seed_from_u64(52);
-        let frame = s.lead_tx().transmit(&mut net);
+        let mut ws = SessionWorkspace::new(net.params.clone());
+        let frame = s.lead_tx().transmit_with(&mut net, &mut ws);
         let join = s
             .cosender_join(0, &frame)
-            .join(&mut net, &mut rng, &empty_db);
+            .join_with(&mut net, &mut rng, &empty_db, &mut ws);
         assert_eq!(
             join.unwrap_err(),
             JoinFailure::MissingDelay {
@@ -1095,7 +1074,8 @@ mod tests {
             .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
             .unwrap();
         let mut rng = StdRng::seed_from_u64(63);
-        let out = session(&payload, sol.waits[0]).run(&mut net, &mut rng, &db);
+        let mut ws = SessionWorkspace::new(net.params.clone());
+        let out = session(&payload, sol.waits[0]).run_with(&mut net, &mut rng, &db, &mut ws);
         assert_eq!(out.cosenders.len(), 1);
         assert_eq!(out.cosenders[0].node, NodeId(1));
         let tx = out.cosenders[0].join.as_ref().expect("co-sender joined");

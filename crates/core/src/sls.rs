@@ -21,7 +21,7 @@ use ssync_dsp::Complex64;
 use ssync_linprog::{MisalignmentProblem, WaitSolution};
 use ssync_phy::detect::CAPTURE_MARGIN;
 use ssync_phy::preamble::PreambleLayout;
-use ssync_phy::workspace::TxWorkspace;
+use ssync_phy::workspace::{RxWorkspace, TxWorkspace};
 use ssync_phy::{Params, Receiver, RxDiagnostics, RxResult, Transmitter};
 use ssync_sim::{Network, NodeId, Time};
 use std::collections::BTreeMap;
@@ -126,7 +126,10 @@ impl Prober {
         // B captures and decodes.
         let b_window = CAPTURE_MARGIN * 2 + probe_len + 200;
         let b_buf = net.medium.capture(rng, b, Time::ZERO, b_window);
-        let b_res: RxResult = self.rx.receive(&b_buf).ok()?;
+        let b_res: RxResult = self
+            .rx
+            .receive_with(&b_buf, &mut RxWorkspace::new(params))
+            .ok()?;
         if b_res.payload != PROBE_PAYLOAD {
             return None;
         }
@@ -165,7 +168,10 @@ impl Prober {
             + resp_len
             + CAPTURE_MARGIN;
         let a_buf = net.medium.capture(rng, a, a_from, a_window);
-        let a_res = self.rx.receive(&a_buf).ok()?;
+        let a_res = self
+            .rx
+            .receive_with(&a_buf, &mut RxWorkspace::new(params))
+            .ok()?;
         let reported_rx_to_tx = f64::from_le_bytes(a_res.payload.get(0..8)?.try_into().ok()?);
         let reported_cfo = f64::from_le_bytes(a_res.payload.get(8..16)?.try_into().ok()?);
         let a_arrival_s = arrival_estimate_s(params, &a_res.diag, a_from);

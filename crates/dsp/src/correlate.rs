@@ -90,16 +90,9 @@ pub fn normalized_cross_correlate_into(
 ///
 /// At each start index `t` (while `t + 2·period <= len`), computes
 /// `P[t] = Σ_{m<period} signal[t+m]·conj(signal[t+m+period])` and the window
-/// energy `R[t] = Σ_{m<period} |signal[t+m+period]|²`, returning the timing
-/// metric `|P[t]|²/R[t]²` which plateaus near 1 over the repeated region.
-pub fn autocorrelation_metric(signal: &[Complex64], period: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    autocorrelation_metric_into(signal, period, &mut out);
-    out
-}
-
-/// [`autocorrelation_metric`] into a caller-owned buffer (cleared and
-/// refilled; capacity reused across calls).
+/// energy `R[t] = Σ_{m<period} |signal[t+m+period]|²`, writing the timing
+/// metric `|P[t]|²/R[t]²` — which plateaus near 1 over the repeated region —
+/// into `out` (cleared and refilled; capacity reused across calls).
 pub fn autocorrelation_metric_into(signal: &[Complex64], period: usize, out: &mut Vec<f64>) {
     out.clear();
     if period == 0 || signal.len() < 2 * period {
@@ -299,6 +292,12 @@ mod tests {
             &mut Vec::new(),
             &mut out,
         );
+        out
+    }
+
+    fn autocorrelation_metric(signal: &[Complex64], period: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        autocorrelation_metric_into(signal, period, &mut out);
         out
     }
 

@@ -18,16 +18,9 @@ use std::f64::consts::PI;
 pub const SINC_HALF_WIDTH: usize = 16;
 
 /// Delays a waveform by a non-negative integer number of samples, prepending
-/// zeros (output length grows by `shift`).
-pub fn integer_delay(signal: &[Complex64], shift: usize) -> Vec<Complex64> {
-    let mut out = Vec::new();
-    integer_delay_into(signal, shift, &mut out);
-    out
-}
-
-/// [`integer_delay`] into a caller-owned buffer: `out` is cleared and
-/// refilled, so its capacity is reused across calls (no steady-state
-/// allocation once it has grown to the working size).
+/// zeros (output length grows by `shift`). `out` is cleared and refilled, so
+/// its capacity is reused across calls (no steady-state allocation once it
+/// has grown to the working size).
 pub fn integer_delay_into(signal: &[Complex64], shift: usize, out: &mut Vec<Complex64>) {
     out.clear();
     out.resize(shift, Complex64::ZERO);
@@ -54,19 +47,12 @@ fn blackman(i: usize, n: usize) -> f64 {
     0.42 - 0.5 * (2.0 * PI * x).cos() + 0.08 * (4.0 * PI * x).cos()
 }
 
-/// The windowed-sinc kernel for a fractional delay `mu` in `[0, 1)`.
+/// The windowed-sinc kernel for a fractional delay `mu` in `[0, 1)`, into a
+/// caller-owned buffer (cleared and refilled; capacity reused across calls).
 ///
 /// The kernel has `2·SINC_HALF_WIDTH` taps; convolving with it delays the
 /// signal by `SINC_HALF_WIDTH - 1 + mu` samples total (the integer part is a
 /// filter-latency constant the caller compensates).
-pub fn fractional_kernel(mu: f64) -> Vec<f64> {
-    let mut kernel = Vec::new();
-    fractional_kernel_into(mu, &mut kernel);
-    kernel
-}
-
-/// [`fractional_kernel`] into a caller-owned buffer (cleared and refilled;
-/// capacity reused across calls).
 pub fn fractional_kernel_into(mu: f64, kernel: &mut Vec<f64>) {
     assert!((0.0..1.0).contains(&mu), "mu must be in [0,1), got {mu}");
     let n = 2 * SINC_HALF_WIDTH;
@@ -85,20 +71,6 @@ pub fn fractional_kernel_into(mu: f64, kernel: &mut Vec<f64>) {
     }
 }
 
-/// Delays a waveform by an arbitrary non-negative real number of samples.
-///
-/// The integer part is realised by zero-prefixing; the fractional part by
-/// windowed-sinc interpolation. The returned waveform is longer than the
-/// input by `ceil(delay) + 2·SINC_HALF_WIDTH` samples of filter spill, but
-/// sample `i` of the *input* appears (band-limited-interpolated) at output
-/// index `i + delay` exactly, so callers can reason in input coordinates.
-pub fn fractional_delay(signal: &[Complex64], delay: f64) -> Vec<Complex64> {
-    let mut ws = DelayWorkspace::new();
-    let mut out = Vec::new();
-    fractional_delay_into(signal, delay, &mut ws, &mut out);
-    out
-}
-
 /// Reusable scratch for [`fractional_delay_into`]: holds the interpolation
 /// kernel between calls so the steady-state delay path does not allocate.
 #[derive(Debug, Clone, Default)]
@@ -113,10 +85,17 @@ impl DelayWorkspace {
     }
 }
 
-/// [`fractional_delay`] into a caller-owned buffer: `out` is cleared and
-/// refilled and `ws` holds the kernel scratch, so after the first call at a
-/// given working size the path performs no heap allocation. Produces
-/// bit-identical output to [`fractional_delay`] (same accumulation order).
+/// Delays a waveform by an arbitrary non-negative real number of samples.
+///
+/// The integer part is realised by zero-prefixing; the fractional part by
+/// windowed-sinc interpolation. The output is longer than the input by
+/// `ceil(delay) + 2·SINC_HALF_WIDTH` samples of filter spill, but sample `i`
+/// of the *input* appears (band-limited-interpolated) at output index
+/// `i + delay` exactly, so callers can reason in input coordinates.
+///
+/// `out` is cleared and refilled and `ws` holds the kernel scratch, so after
+/// the first call at a given working size the path performs no heap
+/// allocation; the output bits do not depend on what `ws` held before.
 pub fn fractional_delay_into(
     signal: &[Complex64],
     delay: f64,
@@ -155,7 +134,7 @@ pub fn fractional_delay_into(
 /// `e^{−j2π·k̃·delay/N}` where `k̃` is the signed bin index.
 ///
 /// This is the *definition* the SourceSync slope estimator inverts, and the
-/// test oracle for [`fractional_delay`].
+/// test oracle for [`fractional_delay_into`].
 pub fn spectrum_delay(spectrum: &mut [Complex64], delay: f64) {
     let n = spectrum.len();
     for (k, v) in spectrum.iter_mut().enumerate() {
@@ -170,19 +149,40 @@ pub fn spectrum_delay(spectrum: &mut [Complex64], delay: f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::fft::Fft;
+    use crate::fft::FftPlan;
     use crate::rng::ComplexGaussian;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// [`integer_delay_into`] into a fresh buffer.
+    fn integer_delay(signal: &[Complex64], shift: usize) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        integer_delay_into(signal, shift, &mut out);
+        out
+    }
+
+    /// [`fractional_kernel_into`] into a fresh buffer.
+    pub(crate) fn fractional_kernel(mu: f64) -> Vec<f64> {
+        let mut kernel = Vec::new();
+        fractional_kernel_into(mu, &mut kernel);
+        kernel
+    }
+
+    /// [`fractional_delay_into`] through a fresh workspace and buffer.
+    fn fractional_delay(signal: &[Complex64], delay: f64) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        fractional_delay_into(signal, delay, &mut DelayWorkspace::new(), &mut out);
+        out
+    }
 
     /// Generates a band-limited random signal (occupying the central half of
     /// the band) so that sinc interpolation is accurate.
     fn bandlimited_signal(seed: u64, n: usize) -> Vec<Complex64> {
         let mut rng = StdRng::seed_from_u64(seed);
         let gauss = ComplexGaussian::unit();
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let mut spec = vec![Complex64::ZERO; n];
         // Occupy bins within ±N/4 of DC.
         for (k, bin) in spec.iter_mut().enumerate() {
@@ -215,7 +215,7 @@ mod tests {
         let delayed = fractional_delay(&sig, 0.5);
         // Oracle: circular spectral shift. Compare on the interior where the
         // linear and circular versions agree.
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let mut spec = fft.forward_to_vec(&sig);
         spectrum_delay(&mut spec, 0.5);
         let oracle = fft.inverse_to_vec(&spec);
@@ -273,7 +273,7 @@ mod tests {
     fn spectrum_delay_integer_matches_rotation() {
         let n = 64;
         let sig = bandlimited_signal(24, n);
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let mut spec = fft.forward_to_vec(&sig);
         spectrum_delay(&mut spec, 3.0);
         let rotated = fft.inverse_to_vec(&spec);
@@ -291,8 +291,9 @@ mod tests {
     #[test]
     fn delay_into_bitwise_matches_allocating_path() {
         // One reused workspace + output buffer across many delays must give
-        // exactly the bytes of the fresh-allocation path (including the
-        // integer fast path and the trim/lead branches of the convolution).
+        // exactly the bytes of a fresh workspace and buffer per call
+        // (including the integer fast path and the trim/lead branches of the
+        // convolution).
         let sig = bandlimited_signal(30, 128);
         let mut ws = DelayWorkspace::new();
         let mut out = Vec::new();

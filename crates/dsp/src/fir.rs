@@ -547,7 +547,7 @@ pub(crate) mod tests {
                 } else {
                     (0, latency - int_part)
                 };
-                let h = crate::delay::fractional_kernel(0.37);
+                let h = crate::delay::tests::fractional_kernel(0.37);
                 let want = scatter_real(&x, &h, lead, trim);
                 for tier in tiers() {
                     let mut out = dirty();
@@ -566,7 +566,7 @@ pub(crate) mod tests {
         let mut out = dirty();
         convolve_complex_into(&x, &h, &mut out);
         assert_bits_eq(&out, &scatter_complex(&x, &h), "complex");
-        let k = crate::delay::fractional_kernel(0.5);
+        let k = crate::delay::tests::fractional_kernel(0.5);
         convolve_real_into(&x, &k, 2, 0, &mut out);
         assert_bits_eq(&out, &scatter_real(&x, &k, 2, 0), "real");
     }

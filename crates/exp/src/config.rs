@@ -1,15 +1,11 @@
 //! Run configuration: trial scaling, worker count, output format.
 //!
-//! The environment variables honoured by every scenario runner:
-//!
-//! * `SSYNC_TRIALS` — global trial multiplier (default `1`); e.g.
-//!   `SSYNC_TRIALS=4` runs 4× the default sample counts.
-//! * `SSYNC_THREADS` — worker count (default `0` = one per available
-//!   core). Output never depends on this value, only wall-clock time does.
-//!
-//! Both are parsed by pure helpers ([`parse_trials`], [`parse_threads`])
-//! so tests never have to mutate process-global environment state (doing
-//! so races with other tests under the parallel test runner).
+//! The one environment variable a scenario runner honours is
+//! `SSYNC_TRIALS`, a global trial multiplier (default `1`); e.g.
+//! `SSYNC_TRIALS=4` runs 4× the default sample counts. It is parsed by the
+//! pure helper [`parse_trials`], so tests never have to mutate
+//! process-global environment state (doing so races with other tests under
+//! the parallel test runner).
 
 /// Output serialization format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,12 +44,6 @@ pub fn parse_trials(value: Option<&str>) -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|v| *v >= 1)
         .unwrap_or(1)
-}
-
-/// Interprets an `SSYNC_THREADS`-style value: a worker count, where `0`
-/// (and unset/unparsable input) means "one worker per available core".
-pub fn parse_threads(value: Option<&str>) -> usize {
-    value.and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
 /// Resolves the effective trial multiplier from a `--trials` flag and the
@@ -106,16 +96,6 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Reads `SSYNC_TRIALS` and `SSYNC_THREADS` from the process
-    /// environment; format defaults to TSV.
-    pub fn from_env() -> Self {
-        RunConfig {
-            threads: parse_threads(std::env::var("SSYNC_THREADS").ok().as_deref()),
-            trials_scale: parse_trials(std::env::var("SSYNC_TRIALS").ok().as_deref()),
-            format: Format::Tsv,
-        }
-    }
-
     /// The concrete worker count: `threads`, or the number of available
     /// cores when `threads == 0`.
     pub fn effective_threads(&self) -> usize {
@@ -163,14 +143,6 @@ mod tests {
             let err = resolve_trials(Some(bad), Some("9")).unwrap_err();
             assert!(err.contains("positive integer"), "flag {bad:?}: {err}");
         }
-    }
-
-    #[test]
-    fn parse_threads_zero_means_auto() {
-        assert_eq!(parse_threads(None), 0);
-        assert_eq!(parse_threads(Some("0")), 0);
-        assert_eq!(parse_threads(Some("8")), 8);
-        assert_eq!(parse_threads(Some("junk")), 0);
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //!   `(scenario, params, seed)`, and per-unit checkpoint/resume, all
 //!   under the same byte-identity contract.
 //!
-//! Every figure binary in `ssync_bench` is a thin wrapper over
-//! [`scenario::bin_main`], and the `ssync-lab` runner lists and runs any
-//! scenario by name with `--threads`, `--trials`, and `--format` flags.
+//! The `ssync-lab` runner in `ssync_bench` lists and runs any scenario by
+//! name with `--threads`, `--trials`, and `--format` flags.
 //!
 //! ## Determinism contract
 //!
@@ -60,9 +59,9 @@ pub mod service;
 pub mod sink;
 pub mod stream;
 
-pub use config::{parse_threads, parse_trials, resolve_trials, Format, RunConfig};
+pub use config::{parse_trials, resolve_trials, Format, RunConfig};
 pub use grid::{Axis, GridPoint, Job, Sweep};
 pub use record::{Output, Record, Value};
-pub use scenario::{bin_main, run_rendered, Ctx, Scenario};
+pub use scenario::{run_rendered, Ctx, Scenario};
 pub use seed::{splitmix64, trial_seed};
 pub use stream::{OnlineSketch, ReorderBuffer};

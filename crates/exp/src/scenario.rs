@@ -91,13 +91,6 @@ pub fn run_rendered(scenario: &dyn Scenario, cfg: &RunConfig) -> String {
     }
 }
 
-/// The whole `main` of a thin figure binary: configuration from the
-/// environment (`SSYNC_TRIALS`, `SSYNC_THREADS`), TSV to stdout — the
-/// exact observable behaviour of the pre-harness binaries.
-pub fn bin_main(scenario: &dyn Scenario) {
-    print!("{}", run_rendered(scenario, &RunConfig::from_env()));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

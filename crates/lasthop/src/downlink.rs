@@ -9,7 +9,7 @@
 //! only if *every* associated AP misses it (MRD/SOFT-style, paper §7.1).
 //!
 //! The closed-form model (linear AP powers add at the client) is
-//! cross-validated at the sample level by [`joint_session_downlink`],
+//! cross-validated at the sample level by [`joint_session_downlink_with`],
 //! which drives one *actual* joint AP transmission through the staged
 //! [`JointSession`] over the waveform medium and compares the client's
 //! measured composite SNR against [`ClientScenario::joint_downlink_snr_db`].
@@ -205,25 +205,10 @@ pub struct SampleLevelJoint {
 /// composite SNR with the closed-form `joint_downlink_snr_db` model that
 /// [`run_session`] prices packets with — the cross-validation the AWGN
 /// table alone could never provide.
-pub fn joint_session_downlink<R: Rng + ?Sized>(
-    rng: &mut R,
-    params: &Params,
-    scenario: &ClientScenario,
-    payload: &[u8],
-) -> SampleLevelJoint {
-    joint_session_downlink_with(
-        rng,
-        params,
-        scenario,
-        payload,
-        &mut SessionWorkspace::new(params.clone()),
-    )
-}
-
-/// [`joint_session_downlink`] through a reusable [`SessionWorkspace`]: a
-/// controller validating many clients (or a bench sweeping SNR grids)
-/// reuses all modem machinery and scratch across sessions. Bit-identical
-/// to the allocating path.
+///
+/// A controller validating many clients (or a bench sweeping SNR grids)
+/// reuses `ws`, with all its modem machinery and scratch, across sessions;
+/// the outcome does not depend on what `ws` held before.
 pub fn joint_session_downlink_with<R: Rng + ?Sized>(
     rng: &mut R,
     params: &Params,
@@ -431,6 +416,17 @@ mod tests {
         );
         assert!(o.delivered <= 100);
         assert!(o.medium_time_s > 0.0);
+    }
+
+    /// [`joint_session_downlink_with`] through a fresh workspace.
+    fn joint_session_downlink<R: Rng + ?Sized>(
+        rng: &mut R,
+        params: &Params,
+        scenario: &ClientScenario,
+        payload: &[u8],
+    ) -> SampleLevelJoint {
+        let mut ws = SessionWorkspace::new(params.clone());
+        joint_session_downlink_with(rng, params, scenario, payload, &mut ws)
     }
 
     #[test]

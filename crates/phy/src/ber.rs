@@ -9,6 +9,7 @@
 use crate::params::{Params, RateId};
 use crate::rx::Receiver;
 use crate::tx::Transmitter;
+use crate::workspace::RxWorkspace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_dsp::rng::ComplexGaussian;
@@ -102,7 +103,7 @@ pub fn measure_per_awgn(
         for (i, s) in wave.iter().enumerate() {
             buf[pad + i] += *s;
         }
-        match rx.receive(&buf) {
+        match rx.receive_with(&buf, &mut RxWorkspace::new(params)) {
             Ok(res) if res.payload == payload => {}
             _ => failures += 1,
         }

@@ -84,7 +84,8 @@ pub fn estimate_from_lts(
     let refs = lts_values(params);
     let mut grids = Vec::with_capacity(LTS_REPS);
     for rep in 0..LTS_REPS {
-        let grid = ofdm::demodulate_window(params, fft, samples, lts_start + rep * n);
+        let mut grid = Vec::with_capacity(n);
+        ofdm::demodulate_window_into(params, fft, samples, lts_start + rep * n, &mut grid);
         grids.push(grid);
     }
     let mut carriers = Vec::with_capacity(refs.len());
@@ -180,9 +181,9 @@ mod tests {
     use crate::preamble::{lts_symbol, preamble_waveform, PreambleLayout};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ssync_dsp::delay::fractional_delay;
+    use ssync_dsp::delay::{fractional_delay_into, DelayWorkspace};
     use ssync_dsp::rng::ComplexGaussian;
-    use ssync_dsp::Fft;
+    use ssync_dsp::FftPlan;
 
     fn flat_channel_estimate(
         params: &OfdmParams,
@@ -191,9 +192,10 @@ mod tests {
         seed: u64,
     ) -> ChannelEstimate {
         // Build a preamble, delay it, add noise, estimate from the LTS.
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let pre = preamble_waveform(params, &fft);
-        let mut rx = fractional_delay(&pre, delay + 8.0); // +8 guard samples
+        let mut rx = Vec::new();
+        fractional_delay_into(&pre, delay + 8.0, &mut DelayWorkspace::new(), &mut rx); // +8 guard samples
         let mut rng = StdRng::seed_from_u64(seed);
         let noise = ComplexGaussian::with_power(noise_p);
         for s in rx.iter_mut() {
@@ -296,7 +298,7 @@ mod tests {
         // With a multipath channel whose energy is at tap 0, the slope-based
         // delay should stay near zero even though phases vary per subcarrier.
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let pre = preamble_waveform(&params, &fft);
         // Convolve with a 2-tap channel: h = [1, 0.3j] (most energy at tap 0).
         let mut rx = vec![Complex64::ZERO; pre.len() + 1];
@@ -317,7 +319,7 @@ mod tests {
         // Guards the procedural LTS: occupied carriers all non-zero so the
         // division in estimate_from_lts is well-conditioned.
         let params = OfdmParams::wiglan();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let lts = lts_symbol(&params, &fft);
         let spec = fft.forward_to_vec(&lts);
         for (k, x) in lts_values(&params) {

@@ -146,14 +146,11 @@ impl DecodeScratch {
     }
 }
 
-/// Decodes SIGNAL-field LLRs (concatenated over its OFDM symbols, already
-/// de-interleaved? — no: raw per-symbol LLRs in subcarrier order).
-pub fn decode_signal(params: &OfdmParams, llrs_per_symbol: &[Vec<f64>]) -> Option<SignalField> {
-    decode_signal_with(params, llrs_per_symbol, &mut DecodeScratch::new())
-}
-
-/// [`decode_signal`] through caller-owned scratch: identical output, zero
-/// steady-state allocation.
+/// Decodes the SIGNAL field from its raw per-symbol LLRs (one vector per
+/// OFDM symbol, in subcarrier order): de-interleaves each symbol, Viterbi-
+/// decodes the concatenated stream and parity-checks the field. `scratch`
+/// holds every buffer, so the steady state allocates nothing; the result
+/// does not depend on what it held before.
 pub fn decode_signal_with(
     params: &OfdmParams,
     llrs_per_symbol: &[Vec<f64>],
@@ -216,24 +213,9 @@ pub fn n_data_symbols(params: &OfdmParams, len: usize, rate: RateId) -> usize {
 
 /// Receive side of the DATA pipeline: takes per-symbol LLR vectors (subcarrier
 /// order), de-interleaves, de-punctures, Viterbi-decodes, descrambles, and
-/// returns the PSDU bytes (length from the SIGNAL field).
-pub fn decode_data(
-    params: &OfdmParams,
-    llrs_per_symbol: &[Vec<f64>],
-    rate: RateId,
-    psdu_len: usize,
-) -> Option<Vec<u8>> {
-    decode_data_with(
-        params,
-        llrs_per_symbol,
-        rate,
-        psdu_len,
-        &mut DecodeScratch::new(),
-    )
-}
-
-/// [`decode_data`] through caller-owned scratch: identical output, zero
-/// steady-state allocation beyond the returned PSDU bytes.
+/// returns the PSDU bytes (length from the SIGNAL field). `scratch` holds
+/// every intermediate buffer, so the steady state allocates nothing beyond
+/// the returned bytes.
 pub fn decode_data_with(
     params: &OfdmParams,
     llrs_per_symbol: &[Vec<f64>],
@@ -370,7 +352,12 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            assert_eq!(decode_signal(&params, &llrs), Some(sig), "{}", params.name);
+            assert_eq!(
+                decode_signal_with(&params, &llrs, &mut DecodeScratch::new()),
+                Some(sig),
+                "{}",
+                params.name
+            );
         }
     }
 
@@ -391,7 +378,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let decoded = decode_data(&params, &llrs, rate, psdu.len());
+            let decoded =
+                decode_data_with(&params, &llrs, rate, psdu.len(), &mut DecodeScratch::new());
             assert_eq!(decoded.as_deref(), Some(&psdu[..]), "rate {rate:?}");
         }
     }
@@ -413,7 +401,8 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                decode_data(&params, &llrs, rate, psdu.len()).as_deref(),
+                decode_data_with(&params, &llrs, rate, psdu.len(), &mut DecodeScratch::new())
+                    .as_deref(),
                 Some(&psdu[..])
             );
         }
@@ -433,7 +422,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            decode_data(&params, &llrs, RateId::R6, 0).as_deref(),
+            decode_data_with(&params, &llrs, RateId::R6, 0, &mut DecodeScratch::new()).as_deref(),
             Some(&[][..])
         );
     }

@@ -12,26 +12,15 @@ use crate::scramble::pilot_polarity;
 use crate::workspace::TxWorkspace;
 use ssync_dsp::{Complex64, FftPlan};
 
-/// Builds one OFDM symbol: maps `data` onto the data subcarriers (in the
-/// order of `params.data_carriers`), inserts pilots with the polarity of
-/// `symbol_index`, IFFTs, and prepends a cyclic prefix of `cp_len` samples.
+/// Builds one OFDM symbol and *appends* it to `out` (the transmitter
+/// concatenates symbols into one frame waveform, so append is the composable
+/// shape): maps `data` onto the data subcarriers (in the order of
+/// `params.data_carriers`), inserts pilots with the polarity of
+/// `symbol_index`, IFFTs through `ws`, and prepends a cyclic prefix of
+/// `cp_len` samples.
 ///
 /// The output is scaled so that mean *occupied-subcarrier* power maps to a
 /// time-domain mean power of ~1 regardless of FFT size.
-///
-/// # Panics
-/// Panics if `data.len() != params.n_data()` or `cp_len >= fft_size`.
-pub fn modulate_symbol(
-    params: &OfdmParams,
-    fft: &FftPlan,
-    data: &[Complex64],
-    symbol_index: usize,
-    cp_len: usize,
-) -> Vec<Complex64> {
-    modulate_symbol_with_pilots(params, fft, data, symbol_index, cp_len, true)
-}
-
-/// [`modulate_symbol`] with explicit pilot gating.
 ///
 /// SourceSync senders *share* the pilot subcarriers across OFDM symbols
 /// (paper §5): in a joint frame the role-A senders drive pilots only on
@@ -39,34 +28,10 @@ pub fn modulate_symbol(
 /// can track each role's residual frequency offset separately. A sender
 /// whose turn it is not transmits zero on the pilot carriers
 /// (`pilots_enabled = false`).
-pub fn modulate_symbol_with_pilots(
-    params: &OfdmParams,
-    fft: &FftPlan,
-    data: &[Complex64],
-    symbol_index: usize,
-    cp_len: usize,
-    pilots_enabled: bool,
-) -> Vec<Complex64> {
-    let mut ws = TxWorkspace::new(params);
-    let mut out = Vec::with_capacity(cp_len + params.fft_size);
-    modulate_symbol_append(
-        params,
-        fft,
-        data,
-        symbol_index,
-        cp_len,
-        pilots_enabled,
-        &mut ws,
-        &mut out,
-    );
-    out
-}
-
-/// [`modulate_symbol_with_pilots`] through a reusable [`TxWorkspace`],
-/// *appending* the CP-prefixed symbol to `out` (the transmitter concatenates
-/// symbols into one frame waveform, so append is the composable shape).
-/// Bit-identical to the allocating path.
-#[allow(clippy::too_many_arguments)] // mirror of modulate_symbol_with_pilots + (workspace, sink)
+///
+/// # Panics
+/// Panics if `data.len() != params.n_data()` or `cp_len >= fft_size`.
+#[allow(clippy::too_many_arguments)] // symbol description + (workspace, sink)
 pub fn modulate_symbol_append(
     params: &OfdmParams,
     fft: &FftPlan,
@@ -110,34 +75,21 @@ pub fn modulate_symbol_append(
     out.extend_from_slice(time);
 }
 
-/// The time-domain gain applied by [`modulate_symbol`] (`N/√n_occ`); the
+/// The time-domain gain applied by [`modulate_symbol_append`] (`N/√n_occ`); the
 /// receiver divides by the same factor to restore constellation coordinates.
 pub fn symbol_scale(params: &OfdmParams) -> f64 {
     let n_occ = params.data_carriers.len() + params.pilot_carriers.len();
     params.fft_size as f64 / (n_occ as f64).sqrt()
 }
 
-/// Extracts the subcarrier grid of one received OFDM symbol.
+/// Extracts the subcarrier grid of one received OFDM symbol into `grid`
+/// (cleared and refilled; capacity reused across calls, so the per-symbol
+/// receive loop performs no heap allocation at steady state).
 ///
 /// `samples` must contain at least `offset + fft_size` samples; the FFT
 /// window starts at `offset` (the caller positions it inside the cyclic
-/// prefix). Returns values for every FFT bin, normalised back to
+/// prefix). Yields values for every FFT bin, normalised back to
 /// constellation scale.
-pub fn demodulate_window(
-    params: &OfdmParams,
-    fft: &FftPlan,
-    samples: &[Complex64],
-    offset: usize,
-) -> Vec<Complex64> {
-    let mut grid = Vec::with_capacity(params.fft_size);
-    demodulate_window_into(params, fft, samples, offset, &mut grid);
-    grid
-}
-
-/// [`demodulate_window`] into a caller-owned grid buffer (cleared and
-/// refilled; capacity reused across calls, so the per-symbol receive loop
-/// performs no heap allocation at steady state). Bit-identical to the
-/// allocating path.
 pub fn demodulate_window_into(
     params: &OfdmParams,
     fft: &FftPlan,
@@ -163,27 +115,14 @@ pub fn demodulate_window_into(
 }
 
 /// Reads the data subcarriers (in `data_carriers` order) out of a grid
-/// returned by [`demodulate_window`].
-pub fn extract_data(params: &OfdmParams, grid: &[Complex64]) -> Vec<Complex64> {
-    let mut out = Vec::with_capacity(params.n_data());
-    extract_data_into(params, grid, &mut out);
-    out
-}
-
-/// [`extract_data`] into a caller-owned buffer (cleared and refilled).
+/// filled by [`demodulate_window_into`], into `out` (cleared and refilled).
 pub fn extract_data_into(params: &OfdmParams, grid: &[Complex64], out: &mut Vec<Complex64>) {
     out.clear();
     out.extend(params.data_carriers.iter().map(|&k| grid[params.bin(k)]));
 }
 
-/// Reads the pilot subcarriers (in `pilot_carriers` order) out of a grid.
-pub fn extract_pilots(params: &OfdmParams, grid: &[Complex64]) -> Vec<Complex64> {
-    let mut out = Vec::with_capacity(params.pilot_carriers.len());
-    extract_pilots_into(params, grid, &mut out);
-    out
-}
-
-/// [`extract_pilots`] into a caller-owned buffer (cleared and refilled).
+/// Reads the pilot subcarriers (in `pilot_carriers` order) out of a grid,
+/// into `out` (cleared and refilled).
 pub fn extract_pilots_into(params: &OfdmParams, grid: &[Complex64], out: &mut Vec<Complex64>) {
     out.clear();
     out.extend(params.pilot_carriers.iter().map(|&k| grid[params.bin(k)]));
@@ -195,7 +134,53 @@ mod tests {
     use crate::modulation::{map_bits, Modulation};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use ssync_dsp::Fft;
+    use ssync_dsp::FftPlan;
+
+    /// One pilot-carrying symbol through a fresh workspace.
+    fn modulate_symbol(
+        params: &OfdmParams,
+        fft: &FftPlan,
+        data: &[Complex64],
+        symbol_index: usize,
+        cp_len: usize,
+    ) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        let mut ws = TxWorkspace::new(params);
+        modulate_symbol_append(
+            params,
+            fft,
+            data,
+            symbol_index,
+            cp_len,
+            true,
+            &mut ws,
+            &mut out,
+        );
+        out
+    }
+
+    fn demodulate_window(
+        params: &OfdmParams,
+        fft: &FftPlan,
+        samples: &[Complex64],
+        offset: usize,
+    ) -> Vec<Complex64> {
+        let mut grid = Vec::new();
+        demodulate_window_into(params, fft, samples, offset, &mut grid);
+        grid
+    }
+
+    fn extract_data(params: &OfdmParams, grid: &[Complex64]) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        extract_data_into(params, grid, &mut out);
+        out
+    }
+
+    fn extract_pilots(params: &OfdmParams, grid: &[Complex64]) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        extract_pilots_into(params, grid, &mut out);
+        out
+    }
 
     #[test]
     fn loopback_recovers_constellation_points() {
@@ -203,7 +188,7 @@ mod tests {
             crate::params::OfdmParams::dot11a(),
             crate::params::OfdmParams::wiglan(),
         ] {
-            let fft = Fft::new(params.fft_size);
+            let fft = FftPlan::new(params.fft_size);
             let mut rng = StdRng::seed_from_u64(1);
             let bits: Vec<u8> = (0..params.n_data() * 2)
                 .map(|_| rng.gen_range(0..2u8))
@@ -222,7 +207,7 @@ mod tests {
     #[test]
     fn unit_mean_power_on_air() {
         let params = crate::params::OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(2);
         let mut total = 0.0;
         let n_sym = 50;
@@ -245,7 +230,7 @@ mod tests {
         // channel estimator absorbs; here there is no channel so offsets
         // rotate subcarriers — verify magnitude only).
         let params = crate::params::OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(3);
         let bits: Vec<u8> = (0..params.n_data() * 2)
             .map(|_| rng.gen_range(0..2u8))
@@ -267,7 +252,7 @@ mod tests {
     #[test]
     fn cp_is_cyclic() {
         let params = crate::params::OfdmParams::wiglan();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(4);
         let bits: Vec<u8> = (0..params.n_data() * 2)
             .map(|_| rng.gen_range(0..2u8))
@@ -283,7 +268,7 @@ mod tests {
     #[test]
     fn pilots_carry_polarity() {
         let params = crate::params::OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let data = vec![Complex64::ZERO; params.n_data()];
         for sym_idx in [0usize, 4, 7] {
             let sym = modulate_symbol(&params, &fft, &data, sym_idx, params.cp_len);
@@ -300,7 +285,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn window_out_of_range_panics() {
         let params = crate::params::OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let _ = demodulate_window(&params, &fft, &vec![Complex64::ZERO; 60], 0);
     }
 }

@@ -171,25 +171,11 @@ impl Receiver {
     }
 
     /// Receives the first frame found in `samples`, scanning from index 0.
-    pub fn receive(&self, samples: &[Complex64]) -> Result<RxResult, RxError> {
-        self.receive_from(samples, 0)
-    }
-
-    /// Receives the first frame found scanning from `from`.
-    pub fn receive_from(&self, samples: &[Complex64], from: usize) -> Result<RxResult, RxError> {
-        self.receive_from_with(samples, from, &mut RxWorkspace::new(&self.params))
-    }
-
-    /// Decodes a frame given an existing detection (used by the joint-frame
-    /// receiver in `ssync-core`, which shares one detection across senders).
-    pub fn receive_at(&self, samples: &[Complex64], det: Detection) -> Result<RxResult, RxError> {
-        self.receive_at_with(samples, det, &mut RxWorkspace::new(&self.params))
-    }
-
-    /// [`Receiver::receive`] through a reusable [`RxWorkspace`]: all
-    /// per-symbol scratch (demod grid, LLR pool, demap tables, detector
+    ///
+    /// All per-symbol scratch (demod grid, LLR pool, demap tables, detector
     /// metrics, the CFO-corrected capture copy) lives in `ws` and is reused
-    /// across calls. Bit-identical to the allocating path.
+    /// across calls; the result does not depend on what `ws` held before, so
+    /// a warmed workspace and a fresh one give the same bits.
     pub fn receive_with(
         &self,
         samples: &[Complex64],
@@ -198,7 +184,8 @@ impl Receiver {
         self.receive_from_with(samples, 0, ws)
     }
 
-    /// [`Receiver::receive_from`] through a reusable [`RxWorkspace`].
+    /// Receives the first frame found scanning from `from`, through a
+    /// reusable [`RxWorkspace`].
     pub fn receive_from_with(
         &self,
         samples: &[Complex64],
@@ -217,10 +204,10 @@ impl Receiver {
     /// shared [`WorkspacePool`].
     ///
     /// Results come back in capture order, each exactly what
-    /// [`Receiver::receive`] would return for that capture (the per-frame
-    /// pipeline is single-threaded and workspace paths are bit-identical to
-    /// the allocating ones, so batching changes neither values nor order —
-    /// only wall-clock). `threads <= 1` runs inline on the caller's thread;
+    /// [`Receiver::receive_with`] would return for that capture (the
+    /// per-frame pipeline is single-threaded and its result does not depend
+    /// on the workspace's history, so batching changes neither values nor
+    /// order — only wall-clock). `threads <= 1` runs inline on the caller's thread;
     /// the pool then holds at most one workspace. Work is distributed by
     /// atomic work-stealing via [`ssync_exp::exec::par_map`], so unequal
     /// frame lengths don't idle workers.
@@ -236,7 +223,8 @@ impl Receiver {
         })
     }
 
-    /// [`Receiver::receive_at`] through a reusable [`RxWorkspace`].
+    /// Decodes a frame given an existing detection, through a reusable
+    /// [`RxWorkspace`].
     pub fn receive_at_with(
         &self,
         samples: &[Complex64],
@@ -453,6 +441,11 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use ssync_dsp::rng::ComplexGaussian;
 
+    /// [`Receiver::receive_with`] through a fresh workspace.
+    fn receive(rx: &Receiver, samples: &[Complex64]) -> Result<RxResult, RxError> {
+        rx.receive_with(samples, &mut RxWorkspace::new(rx.params()))
+    }
+
     fn on_air(tx_wave: &[Complex64], lead_pad: usize, snr_db: f64, seed: u64) -> Vec<Complex64> {
         let noise_p = ssync_dsp::stats::linear_from_db(-snr_db);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -474,7 +467,7 @@ mod tests {
             let payload: Vec<u8> = (0..300).map(|_| rng.gen()).collect();
             let wave = tx.frame_waveform(&payload, rate, 0);
             let buf = on_air(&wave, 200, 35.0, rate.to_index() as u64);
-            let got = rx.receive(&buf).unwrap_or_else(|e| panic!("{rate:?}: {e}"));
+            let got = receive(&rx, &buf).unwrap_or_else(|e| panic!("{rate:?}: {e}"));
             assert_eq!(got.payload, payload, "{rate:?}");
             assert_eq!(got.signal.rate, rate);
         }
@@ -488,7 +481,7 @@ mod tests {
         let payload = vec![0x5A; 200];
         let wave = tx.frame_waveform(&payload, RateId::R12, 0);
         let buf = on_air(&wave, 300, 30.0, 7);
-        let got = rx.receive(&buf).expect("decode failed");
+        let got = receive(&rx, &buf).expect("decode failed");
         assert_eq!(got.payload, payload);
     }
 
@@ -499,7 +492,7 @@ mod tests {
         let tx = Transmitter::new(params.clone());
         let rx = Receiver::new(params);
         let wave = tx.frame_waveform(&[0x11; 120], RateId::R12, 0);
-        let got = rx.receive(&on_air(&wave, 150, 30.0, 3)).expect("decode");
+        let got = receive(&rx, &on_air(&wave, 150, 30.0, 3)).expect("decode");
         let sum = got.diag.summary();
         assert_eq!(sum.mean_snr_db, got.diag.mean_snr_db);
         assert_eq!(sum.cfo_hz, got.diag.detection.cfo_hz);
@@ -520,7 +513,7 @@ mod tests {
         let mut wave = tx.frame_waveform(&payload, RateId::R24, 0);
         apply_cfo(&mut wave, 73e3, params.sample_rate_hz);
         let buf = on_air(&wave, 250, 30.0, 8);
-        let got = rx.receive(&buf).expect("decode failed under CFO");
+        let got = receive(&rx, &buf).expect("decode failed under CFO");
         assert_eq!(got.payload, payload);
         assert!((got.diag.detection.cfo_hz - 73e3).abs() < 2e3);
     }
@@ -533,14 +526,14 @@ mod tests {
         let payload = vec![0x11; 500];
         // ~9 dB: R6 should pass, R54 should fail.
         let w6 = tx.frame_waveform(&payload, RateId::R6, 0);
-        let got = rx.receive(&on_air(&w6, 200, 9.0, 9));
+        let got = receive(&rx, &on_air(&w6, 200, 9.0, 9));
         assert!(
             got.is_ok(),
             "R6 at 9 dB failed: {:?}",
             got.err().map(|e| e.to_string())
         );
         let w54 = tx.frame_waveform(&payload, RateId::R54, 0);
-        let got54 = rx.receive(&on_air(&w54, 200, 9.0, 10));
+        let got54 = receive(&rx, &on_air(&w54, 200, 9.0, 10));
         assert!(got54.is_err(), "R54 at 9 dB unexpectedly decoded");
     }
 
@@ -553,7 +546,7 @@ mod tests {
         let wave = tx.frame_waveform(&payload, RateId::R12, 0);
         let snr_db = 20.0;
         let buf = on_air(&wave, 200, snr_db, 11);
-        let got = rx.receive(&buf).expect("decode failed");
+        let got = receive(&rx, &buf).expect("decode failed");
         // The channel-estimate SNR should be within a few dB of the set SNR
         // (noise measurement from one LTS pair is coarse).
         assert!(
@@ -575,7 +568,7 @@ mod tests {
         let wave = tx.frame_waveform(&payload, RateId::R54, 0);
         // 5 dB SNR: 64-QAM 3/4 cannot survive; expect BadCrc or BadSignal.
         let buf = on_air(&wave, 200, 5.0, 12);
-        match rx.receive(&buf) {
+        match receive(&rx, &buf) {
             Err(RxError::BadCrc(_)) | Err(RxError::BadSignal(_)) | Err(RxError::NoPacket) => {}
             other => panic!("expected failure, got {other:?}"),
         }
@@ -589,7 +582,7 @@ mod tests {
         let wave = tx.frame_waveform(&[0u8; 1000], RateId::R6, 0);
         let full = on_air(&wave, 200, 30.0, 13);
         let cut = &full[..200 + wave.len() / 2];
-        match rx.receive(cut) {
+        match receive(&rx, cut) {
             Err(RxError::Truncated(_)) | Err(RxError::NoPacket) => {}
             other => panic!("expected truncation, got {other:?}"),
         }
@@ -602,7 +595,7 @@ mod tests {
         let rx = Receiver::new(params);
         let wave = tx.frame_waveform(&[1, 2, 3], RateId::R6, frame::FLAG_JOINT);
         let buf = on_air(&wave, 120, 25.0, 14);
-        let got = rx.receive(&buf).expect("decode failed");
+        let got = receive(&rx, &buf).expect("decode failed");
         assert_eq!(got.signal.flags & frame::FLAG_JOINT, frame::FLAG_JOINT);
     }
 
@@ -622,7 +615,7 @@ mod tests {
                 let mut buf = vec![Complex64::ZERO; offset];
                 buf.extend_from_slice(&wave);
                 buf.resize(buf.len() + 200, Complex64::ZERO);
-                rx.receive(&buf)
+                receive(&rx, &buf)
             };
             let n = params.fft_size;
             assert!(
@@ -672,6 +665,6 @@ mod tests {
     fn empty_buffer_is_no_packet() {
         let params = OfdmParams::dot11a();
         let rx = Receiver::new(params);
-        assert!(matches!(rx.receive(&[]), Err(RxError::NoPacket)));
+        assert!(matches!(receive(&rx, &[]), Err(RxError::NoPacket)));
     }
 }

@@ -81,15 +81,8 @@ impl Transmitter {
         self.data_waveform_append(&psdu, rate, self.params.cp_len, n_sig, ws, out);
     }
 
-    /// The SIGNAL-field portion of a frame (BPSK 1/2, base CP).
-    pub fn signal_waveform(&self, sig: &SignalField) -> Vec<Complex64> {
-        let mut wave = Vec::new();
-        self.signal_waveform_append(sig, &mut TxWorkspace::new(&self.params), &mut wave);
-        wave
-    }
-
-    /// [`Transmitter::signal_waveform`], appending to `out` through a
-    /// reusable workspace.
+    /// The SIGNAL-field portion of a frame (BPSK 1/2, base CP), appended
+    /// to `out` through a reusable workspace.
     pub fn signal_waveform_append(
         &self,
         sig: &SignalField,
@@ -111,33 +104,13 @@ impl Transmitter {
     }
 
     /// The DATA-field portion of a frame at an explicit cyclic-prefix length
-    /// and starting pilot symbol index.
+    /// and starting pilot symbol index, appended to `out` through a reusable
+    /// workspace.
     ///
     /// SourceSync joint frames use this directly: every concurrent sender
     /// generates the identical data waveform (same PSDU, same rate, same
     /// extended CP), possibly transformed by a space-time code, and the
     /// symbol index offset keeps pilot polarities aligned across the frame.
-    pub fn data_waveform(
-        &self,
-        psdu: &[u8],
-        rate: RateId,
-        cp_len: usize,
-        first_symbol_index: usize,
-    ) -> Vec<Complex64> {
-        let mut wave = Vec::new();
-        self.data_waveform_append(
-            psdu,
-            rate,
-            cp_len,
-            first_symbol_index,
-            &mut TxWorkspace::new(&self.params),
-            &mut wave,
-        );
-        wave
-    }
-
-    /// [`Transmitter::data_waveform`], appending to `out` through a
-    /// reusable workspace.
     pub fn data_waveform_append(
         &self,
         psdu: &[u8],
@@ -223,8 +196,10 @@ mod tests {
     fn data_waveform_cp_override() {
         let tx = Transmitter::new(OfdmParams::wiglan());
         let psdu = vec![1u8; 50];
-        let base = tx.data_waveform(&psdu, RateId::R6, 32, 0);
-        let ext = tx.data_waveform(&psdu, RateId::R6, 60, 0);
+        let mut ws = TxWorkspace::new(tx.params());
+        let (mut base, mut ext) = (Vec::new(), Vec::new());
+        tx.data_waveform_append(&psdu, RateId::R6, 32, 0, &mut ws, &mut base);
+        tx.data_waveform_append(&psdu, RateId::R6, 60, 0, &mut ws, &mut ext);
         let n_syms = frame::n_data_symbols(tx.params(), 50, RateId::R6);
         assert_eq!(base.len(), n_syms * (128 + 32));
         assert_eq!(ext.len(), n_syms * (128 + 60));

@@ -294,9 +294,11 @@ impl ViterbiDecoder {
         word
     }
 
-    /// Decodes a terminated mother-code LLR stream into `bits` (cleared and
-    /// refilled, tail included). Returns `false` for empty or odd-length
-    /// input, leaving `bits` empty.
+    /// Decodes a terminated mother-code LLR stream (`2` LLRs per trellis
+    /// step, erasures as `0.0`) into information bits *including* the tail —
+    /// callers strip the final [`crate::convcode::TAIL_BITS`]. `bits` is
+    /// cleared and refilled. Returns `false` for empty or odd-length input,
+    /// leaving `bits` empty.
     pub fn decode_terminated_into(&mut self, llrs: &[f64], bits: &mut Vec<u8>) -> bool {
         bits.clear();
         if llrs.is_empty() || llrs.len() % 2 != 0 {
@@ -317,27 +319,6 @@ impl ViterbiDecoder {
         }
         true
     }
-
-    /// Allocating convenience over [`ViterbiDecoder::decode_terminated_into`].
-    pub fn decode_terminated(&mut self, llrs: &[f64]) -> Option<Vec<u8>> {
-        let mut bits = Vec::new();
-        if self.decode_terminated_into(llrs, &mut bits) {
-            Some(bits)
-        } else {
-            None
-        }
-    }
-}
-
-/// Decodes a terminated mother-code LLR stream (`2` LLRs per trellis step,
-/// erasures as `0.0`) into information bits *including* the tail — callers
-/// strip the final [`crate::convcode::TAIL_BITS`].
-///
-/// Legacy convenience over [`ViterbiDecoder`] (bit-identical); hot paths
-/// hold a decoder and use [`ViterbiDecoder::decode_terminated_into`].
-/// Returns `None` for empty or odd-length input.
-pub fn decode_terminated(llrs: &[f64]) -> Option<Vec<u8>> {
-    ViterbiDecoder::new().decode_terminated(llrs)
 }
 
 /// The pre-optimisation reference decoder: full `(predecessor, input)`
@@ -416,6 +397,14 @@ mod tests {
     use crate::convcode::{encode_half, TAIL_BITS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// [`ViterbiDecoder::decode_terminated_into`] through a fresh decoder.
+    fn decode_terminated(llrs: &[f64]) -> Option<Vec<u8>> {
+        let mut bits = Vec::new();
+        ViterbiDecoder::new()
+            .decode_terminated_into(llrs, &mut bits)
+            .then_some(bits)
+    }
 
     fn encode_with_tail(info: &[u8]) -> Vec<u8> {
         let mut bits = info.to_vec();

@@ -18,9 +18,9 @@
 //!   re-plans (resizes the keyed buffers) on the spot. Re-planning is the
 //!   only allocating transition; steady state on a fixed numerology is
 //!   allocation-free.
-//! * The legacy allocating signatures all remain, as thin wrappers that
-//!   build a throwaway workspace — every workspace path is bit-identical
-//!   to its allocating twin (enforced by the differential test suite).
+//! * Each operation has one entry point, the one taking its workspace; a
+//!   one-off caller passes a fresh workspace. A reused workspace gives the
+//!   bits of a fresh one (enforced by the differential test suite).
 
 use crate::frame::DecodeScratch;
 use crate::modulation::DemapTable;

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::Complex64;
-use ssync_phy::workspace::WorkspacePool;
+use ssync_phy::workspace::{RxWorkspace, WorkspacePool};
 use ssync_phy::{OfdmParams, Params, RateId, Receiver, RxResult, Transmitter};
 
 /// A seeded batch of noisy captures at mixed rates and payload sizes.
@@ -65,8 +65,11 @@ fn batch_matches_sequential_for_any_thread_count() {
     let rx = Receiver::new(params.clone());
     let captures = make_captures(&params, 10, 42);
 
-    // Sequential ground truth through the allocating entry point.
-    let sequential: Vec<_> = captures.iter().map(|c| rx.receive(c)).collect();
+    // Sequential ground truth, a fresh workspace per capture.
+    let sequential: Vec<_> = captures
+        .iter()
+        .map(|c| rx.receive_with(c, &mut RxWorkspace::new(&params)))
+        .collect();
     assert!(
         sequential.iter().all(|r| r.is_ok()),
         "all seeded captures must decode"
@@ -162,7 +165,9 @@ fn full_chain_bits_are_build_invariant() {
     buf.extend(wave);
     buf.extend(noise.sample_vec(&mut rng, 200));
 
-    let res = rx.receive(&buf).expect("seeded frame decodes");
+    let res = rx
+        .receive_with(&buf, &mut RxWorkspace::new(&params))
+        .expect("seeded frame decodes");
     assert_eq!(res.payload, payload);
 
     // FNV-1a over the diagnostic bits: any cross-kernel divergence anywhere

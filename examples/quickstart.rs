@@ -7,14 +7,15 @@
 //! plays the §4.4 protocol explicitly: the lead's transmission
 //! (`LeadTx`), the co-sender's detect → compensate → join
 //! (`CosenderJoin`, with a typed `JoinFailure` if it cannot), and the
-//! receiver's joint decode (`ReceiverDecode`).
+//! receiver's joint decode (`ReceiverDecode`). One `SessionWorkspace`
+//! holds the planned modem machinery and scratch all three stages share.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sourcesync::channel::Position;
-use sourcesync::core::{CosenderPlan, DelayDatabase, JointConfig, JointSession};
+use sourcesync::core::{CosenderPlan, DelayDatabase, JointConfig, JointSession, SessionWorkspace};
 use sourcesync::phy::OfdmParams;
 use sourcesync::sim::{ChannelModels, Network, NodeId};
 
@@ -67,8 +68,9 @@ fn main() {
         .payload(payload.clone())
         .config(JointConfig::default());
 
-    // ...then drive each role's stage explicitly.
-    let frame = session.lead_tx().transmit(&mut net);
+    // ...then drive each role's stage explicitly, through one workspace.
+    let mut ws = SessionWorkspace::new(params.clone());
+    let frame = session.lead_tx().transmit_with(&mut net, &mut ws);
     println!(
         "\nlead {lead}: sync header at t0, {} data symbols after SIFS + 1 training slot",
         frame.timeline.n_data_symbols
@@ -76,7 +78,7 @@ fn main() {
 
     match session
         .cosender_join(0, &frame)
-        .join(&mut net, &mut rng, &db)
+        .join_with(&mut net, &mut rng, &db, &mut ws)
     {
         Ok(tx) => println!(
             "co-sender {cosender}: joined (training at {:.3} µs, measured lead CFO {:+.0} Hz)",
@@ -88,7 +90,7 @@ fn main() {
 
     let report = session
         .receiver_decode(receiver, &frame)
-        .decode(&mut net, &mut rng);
+        .decode_with(&mut net, &mut rng, &mut ws);
 
     println!("\nreceiver report:");
     println!("  header decoded : {}", report.header_ok);

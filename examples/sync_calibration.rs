@@ -11,15 +11,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sourcesync::channel::Position;
 use sourcesync::core::probe_pair;
+use sourcesync::dsp::delay::{fractional_delay_into, DelayWorkspace};
 use sourcesync::dsp::rng::ComplexGaussian;
-use sourcesync::dsp::Fft;
+use sourcesync::dsp::FftPlan;
 use sourcesync::phy::preamble::{preamble_waveform, PreambleLayout};
 use sourcesync::phy::{Detector, OfdmParams};
 use sourcesync::sim::{ChannelModels, Network, NodeId};
 
 fn main() {
     let params = OfdmParams::wiglan();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let det = Detector::new(&params, &fft);
     let layout = PreambleLayout::of(&params);
     let pre = preamble_waveform(&params, &fft);
@@ -52,14 +53,15 @@ fn main() {
     println!("   the same packets, timed via the channel phase slope:\n");
     println!("   snr_db   mean_timing_error_ns   spread_ns");
     let rx = sourcesync::phy::Receiver::new(params.clone());
+    // A quarter-sample fractional arrival to make the point.
+    let mut delayed = Vec::new();
+    fractional_delay_into(&pre, 0.25, &mut DelayWorkspace::new(), &mut delayed);
     for snr_db in [6.0, 12.0, 25.0] {
         let noise_p = sourcesync::dsp::stats::linear_from_db(-snr_db);
         let mut errors = Vec::new();
         for seed in 100..130 {
             let mut rng = StdRng::seed_from_u64(seed);
             let offset = 500usize;
-            // A quarter-sample fractional arrival to make the point.
-            let delayed = sourcesync::dsp::delay::fractional_delay(&pre, 0.25);
             let mut buf = ComplexGaussian::with_power(noise_p)
                 .sample_vec(&mut rng, offset + delayed.len() + 600);
             for (i, s) in delayed.iter().enumerate() {

@@ -11,8 +11,9 @@
 //! * so does the per-symbol transmit loop,
 //! * a warmed full-frame `receive_with` allocates only per-frame
 //!   bookkeeping — the count does not scale with the symbol count,
-//! * and the workspace-threaded frame/combiner entry points allocate
-//!   several times less than their legacy allocating twins.
+//! * and the warmed frame/combiner workspaces allocate several times less
+//!   than a fresh workspace per call (the "legacy" path of the test names:
+//!   what the allocating entry points did before they were folded away).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,11 +21,11 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sourcesync::core::{
-    decode_joint_data, decode_joint_data_with, joint_data_waveform, CombineWorkspace,
-    DataSectionSpec, JointDataWindow, RoleChannels,
+    decode_joint_data_with, joint_data_waveform, CombineWorkspace, DataSectionSpec,
+    JointDataWindow, RoleChannels,
 };
 use sourcesync::dsp::rng::ComplexGaussian;
-use sourcesync::dsp::{Complex64, Fft};
+use sourcesync::dsp::{Complex64, FftPlan};
 use sourcesync::phy::chanest::ChannelEstimate;
 use sourcesync::phy::modulation::DemapTable;
 use sourcesync::phy::{
@@ -96,7 +97,7 @@ fn per_symbol_rx_loop_is_allocation_free_after_warmup() {
     // `Receiver::receive_with` runs it per OFDM symbol — driven through
     // the public workspace entry points on a real transmitted frame.
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let tx = Transmitter::new(params.clone());
     let mut rng = StdRng::seed_from_u64(1);
     let payload: Vec<u8> = (0..800).map(|_| rng.gen()).collect();
@@ -137,7 +138,7 @@ fn per_symbol_rx_loop_is_allocation_free_after_warmup() {
 #[test]
 fn per_symbol_tx_loop_is_allocation_free_after_warmup() {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let mut rng = StdRng::seed_from_u64(2);
     let data: Vec<Complex64> = (0..params.n_data())
         .map(|_| ComplexGaussian::unit().sample(&mut rng))
@@ -190,16 +191,16 @@ fn warmed_receive_with_allocates_an_order_less_than_legacy() {
         .expect("warmup decode long");
     let (n_ws, pooled) = allocations(|| rx.receive_with(&buf, &mut ws));
     let (n_ws_long, pooled_long) = allocations(|| rx.receive_with(&buf_long, &mut ws));
-    let (n_legacy, legacy) = allocations(|| rx.receive(&buf));
+    let (n_legacy, legacy) = allocations(|| rx.receive_with(&buf, &mut RxWorkspace::new(&params)));
     assert_eq!(
         pooled.expect("pooled decode").payload,
         legacy.expect("legacy decode").payload
     );
     assert_eq!(pooled_long.expect("pooled long").payload, payload_long);
     eprintln!("rx allocs: short={n_ws} long={n_ws_long} legacy={n_legacy}");
-    // The workspace path must beat the legacy path even though the legacy
-    // wrappers now delegate to the same lean internals (their only
-    // overhead is building throwaway workspace machinery per call)...
+    // The warmed workspace must beat a fresh one per call even though both
+    // run the same lean internals (the fresh path's only overhead is
+    // building throwaway workspace machinery per call)...
     assert!(
         n_ws * 2 <= n_legacy,
         "warmed workspace rx allocated {n_ws} vs legacy {n_legacy} — expected >=2x reduction"
@@ -216,7 +217,7 @@ fn warmed_receive_with_allocates_an_order_less_than_legacy() {
 #[test]
 fn warmed_combiner_allocates_an_order_less_than_legacy() {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let mut rng = StdRng::seed_from_u64(4);
     let psdu: Vec<u8> = (0..300).map(|_| rng.gen()).collect();
     let spec = DataSectionSpec {
@@ -256,8 +257,10 @@ fn warmed_combiner_allocates_an_order_less_than_legacy() {
     let (n_ws, pooled) = allocations(|| {
         decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut ws)
     });
-    let (n_legacy, legacy) =
-        allocations(|| decode_joint_data(&params, &fft, &buf, &window, &spec, &roles));
+    let (n_legacy, legacy) = allocations(|| {
+        let mut fresh = CombineWorkspace::new(&params);
+        decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut fresh)
+    });
     assert_eq!(
         pooled.expect("pooled").0,
         legacy.expect("legacy").0,

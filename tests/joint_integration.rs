@@ -1,17 +1,40 @@
 //! Cross-crate integration tests: the full SourceSync pipeline through the
 //! facade crate, exactly as a downstream user would drive it — both the
-//! one-call `run_joint_transmission` wrapper and the staged `JointSession`
-//! per-role API.
+//! one-call `JointSession::run_with` driver and the per-role stages.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sourcesync::channel::Position;
 use sourcesync::core::{
-    run_joint_transmission, tracking_update, CosenderPlan, DelayDatabase, JoinFailure, JointConfig,
-    JointSession, HEADER_RATE,
+    tracking_update, CosenderPlan, DelayDatabase, JoinFailure, JointConfig, JointOutcome,
+    JointSession, SessionWorkspace, HEADER_RATE,
 };
 use sourcesync::phy::{frame, OfdmParams, RateId, Transmitter};
 use sourcesync::sim::{ChannelModels, Network, NodeId};
+
+/// The whole protocol through [`JointSession::run_with`], with a fresh
+/// workspace.
+fn run(
+    session: JointSession,
+    net: &mut Network,
+    rng: &mut StdRng,
+    db: &DelayDatabase,
+) -> JointOutcome {
+    let mut ws = SessionWorkspace::new(net.params.clone());
+    session.run_with(net, rng, db, &mut ws)
+}
+
+/// Node 0 leads, node 1 joins with `wait_s`, node 2 receives.
+fn one_cosender(wait_s: f64, payload: &[u8], cfg: JointConfig) -> JointSession {
+    JointSession::new(NodeId(0))
+        .cosender(CosenderPlan {
+            node: NodeId(1),
+            wait_s,
+        })
+        .receiver(NodeId(2))
+        .payload(payload)
+        .config(cfg)
+}
 
 fn three_node_net(seed: u64, multipath: bool) -> Network {
     let params = OfdmParams::dot11a();
@@ -49,18 +72,11 @@ fn joint_frame_through_multipath_fading() {
             cp_extension: 16,
             ..Default::default()
         };
-        let out = run_joint_transmission(
+        let out = run(
+            one_cosender(sol.waits[0], &payload, cfg),
             &mut net,
             &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
-                node: NodeId(1),
-                wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &payload,
             &db,
-            &cfg,
         );
         if out.reports[0].payload.as_deref() == Some(&payload[..]) {
             delivered += 1;
@@ -89,19 +105,7 @@ fn tracking_loop_converges() {
     let cfg = JointConfig::default();
     let mut history = Vec::new();
     for _ in 0..6 {
-        let out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
-                node: NodeId(1),
-                wait_s: wait,
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db,
-            &cfg,
-        );
+        let out = run(one_cosender(wait, &payload, cfg), &mut net, &mut rng, &db);
         let Some(m) = out.reports[0].measured_misalign_s[0] else {
             panic!("no misalignment measurement");
         };
@@ -140,22 +144,16 @@ fn three_cosenders_replicated_alamouti() {
     assert!(db.measure_all(&mut net, &mut rng, &all, 2));
     let cos = [NodeId(1), NodeId(2), NodeId(3)];
     let sol = db.wait_solution(NodeId(0), &cos, &[NodeId(4)]).unwrap();
-    let plans: Vec<CosenderPlan> = cos
+    let plans = cos
         .iter()
         .zip(&sol.waits)
-        .map(|(&node, &wait_s)| CosenderPlan { node, wait_s })
-        .collect();
+        .map(|(&node, &wait_s)| CosenderPlan { node, wait_s });
     let payload = vec![0x5C; 200];
-    let out = run_joint_transmission(
-        &mut net,
-        &mut rng,
-        NodeId(0),
-        &plans,
-        &[NodeId(4)],
-        &payload,
-        &db,
-        &JointConfig::default(),
-    );
+    let session = JointSession::new(NodeId(0))
+        .cosenders(plans)
+        .receiver(NodeId(4))
+        .payload(payload.clone());
+    let out = run(session, &mut net, &mut rng, &db);
     let report = &out.reports[0];
     assert!(report.header_ok);
     let joined = report.co_channels.iter().filter(|c| c.is_some()).count();
@@ -197,19 +195,15 @@ fn multi_receiver_lp_reduces_worst_misalignment() {
             cp_extension: 12,
             ..Default::default()
         };
-        let out = run_joint_transmission(
-            net,
-            rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let session = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: wait,
-            }],
-            &receivers,
-            &[9u8; 80],
-            &db,
-            &cfg,
-        );
+            })
+            .receivers(receivers)
+            .payload([9u8; 80])
+            .config(cfg);
+        let out = run(session, net, rng, &db);
         out.true_misalign_s
             .iter()
             .flatten()
@@ -274,12 +268,13 @@ fn staged_session_three_cosenders_two_receivers() {
         });
 
     // Drive every stage by hand, in protocol order.
-    let frame = session.lead_tx().transmit(&mut net);
+    let mut ws = SessionWorkspace::new(net.params.clone());
+    let frame = session.lead_tx().transmit_with(&mut net, &mut ws);
     let joins: Vec<_> = (0..cos.len())
         .map(|i| {
             session
                 .cosender_join(i, &frame)
-                .join(&mut net, &mut rng, &db)
+                .join_with(&mut net, &mut rng, &db, &mut ws)
         })
         .collect();
     let joined = joins.iter().filter(|j| j.is_ok()).count();
@@ -288,7 +283,7 @@ fn staged_session_three_cosenders_two_receivers() {
     for &rcv in &receivers {
         let report = session
             .receiver_decode(rcv, &frame)
-            .decode(&mut net, &mut rng);
+            .decode_with(&mut net, &mut rng, &mut ws);
         assert!(report.header_ok, "{rcv} header failed");
         assert_eq!(
             report.payload.as_deref(),
@@ -313,7 +308,7 @@ fn session_run_reports_every_join_outcome() {
     let cos = [NodeId(1), NodeId(2), NodeId(3)];
     let receivers = [NodeId(4), NodeId(5)];
     let sol = db.wait_solution(NodeId(0), &cos, &receivers).unwrap();
-    let out = JointSession::new(NodeId(0))
+    let session = JointSession::new(NodeId(0))
         .cosenders(
             cos.iter()
                 .zip(&sol.waits)
@@ -321,8 +316,8 @@ fn session_run_reports_every_join_outcome() {
         )
         .receivers(receivers)
         .payload(vec![0x9Du8; 180])
-        .config(JointConfig::default())
-        .run(&mut net, &mut rng, &db);
+        .config(JointConfig::default());
+    let out = run(session, &mut net, &mut rng, &db);
     assert_eq!(out.reports.len(), 2);
     assert_eq!(out.cosenders.len(), 3);
     assert_eq!(out.true_misalign_s.len(), 2);
@@ -358,10 +353,14 @@ fn join_failure_no_detect_when_cosender_out_of_range() {
         })
         .receiver(NodeId(2))
         .payload(vec![0x01u8; 80]);
-    let frame = session.lead_tx().transmit(&mut net);
-    let join = session
-        .cosender_join(0, &frame)
-        .join(&mut net, &mut rng, &DelayDatabase::new());
+    let mut ws = SessionWorkspace::new(net.params.clone());
+    let frame = session.lead_tx().transmit_with(&mut net, &mut ws);
+    let join = session.cosender_join(0, &frame).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut ws,
+    );
     assert_eq!(join.unwrap_err(), JoinFailure::NoDetect);
 }
 
@@ -379,10 +378,14 @@ fn join_failure_missing_delay_on_empty_database() {
         })
         .receiver(NodeId(2))
         .payload(vec![0x02u8; 80]);
-    let frame = session.lead_tx().transmit(&mut net);
-    let join = session
-        .cosender_join(0, &frame)
-        .join(&mut net, &mut rng, &DelayDatabase::new());
+    let mut ws = SessionWorkspace::new(net.params.clone());
+    let frame = session.lead_tx().transmit_with(&mut net, &mut ws);
+    let join = session.cosender_join(0, &frame).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut ws,
+    );
     assert_eq!(
         join.unwrap_err(),
         JoinFailure::MissingDelay {
@@ -402,10 +405,13 @@ fn join_failure_missing_delay_on_empty_database() {
             delay_compensation: false,
             ..Default::default()
         });
-    let frame = baseline.lead_tx().transmit(&mut net);
-    let join = baseline
-        .cosender_join(0, &frame)
-        .join(&mut net, &mut rng, &DelayDatabase::new());
+    let frame = baseline.lead_tx().transmit_with(&mut net, &mut ws);
+    let join = baseline.cosender_join(0, &frame).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut ws,
+    );
     assert!(join.is_ok(), "baseline join failed: {join:?}");
 }
 
@@ -431,11 +437,12 @@ fn join_failure_wrong_packet_on_stale_queue() {
         .clone()
         .payload(b"stale packet the co-sender holds".to_vec());
 
-    let _ = on_air.lead_tx().transmit(&mut net); // packet A on the air
+    let mut ws = SessionWorkspace::new(net.params.clone());
+    let _ = on_air.lead_tx().transmit_with(&mut net, &mut ws); // packet A on the air
     let stale_frame = stale.lead_tx().schedule(&net.params); // packet B, never sent
     let join = stale
         .cosender_join(0, &stale_frame)
-        .join(&mut net, &mut rng, &db);
+        .join_with(&mut net, &mut rng, &db, &mut ws);
     let expected = sourcesync::core::packet_id(b"stale packet the co-sender holds");
     let heard = sourcesync::core::packet_id(b"fresh packet the lead announces");
     assert_eq!(
@@ -462,10 +469,13 @@ fn join_failure_not_joint_flagged_on_plain_traffic() {
     let plain = tx.frame_waveform(&[0xAAu8; 16], HEADER_RATE, 0); // flags = 0
     net.medium.clear_transmissions();
     net.medium.transmit(NodeId(0), frame_sched.t0, plain);
-    let join =
-        session
-            .cosender_join(0, &frame_sched)
-            .join(&mut net, &mut rng, &DelayDatabase::new());
+    let mut ws = SessionWorkspace::new(net.params.clone());
+    let join = session.cosender_join(0, &frame_sched).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut ws,
+    );
     assert_eq!(join.unwrap_err(), JoinFailure::NotJointFlagged);
 }
 
@@ -486,10 +496,13 @@ fn join_failure_malformed_header_on_truncated_payload() {
     let runt = tx.frame_waveform(&[1u8, 2, 3], HEADER_RATE, frame::FLAG_JOINT);
     net.medium.clear_transmissions();
     net.medium.transmit(NodeId(0), frame_sched.t0, runt);
-    let join =
-        session
-            .cosender_join(0, &frame_sched)
-            .join(&mut net, &mut rng, &DelayDatabase::new());
+    let mut ws = SessionWorkspace::new(net.params.clone());
+    let join = session.cosender_join(0, &frame_sched).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut ws,
+    );
     assert_eq!(join.unwrap_err(), JoinFailure::MalformedHeader);
 }
 
@@ -510,18 +523,11 @@ fn rates_sweep_through_joint_path() {
             rate,
             ..Default::default()
         };
-        let out = run_joint_transmission(
+        let out = run(
+            one_cosender(sol.waits[0], &payload, cfg),
             &mut net,
             &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
-                node: NodeId(1),
-                wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &payload,
             &db,
-            &cfg,
         );
         assert_eq!(
             out.reports[0].payload.as_deref(),

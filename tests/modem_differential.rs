@@ -1,22 +1,20 @@
 //! Differential tests for the zero-allocation modem workspaces: every
-//! workspace-ified function is driven through BOTH the in-place path and
-//! the legacy allocating path on identical seeded inputs, asserting
-//! byte-identical output.
+//! workspace-taking operation runs on identical seeded inputs through a
+//! workspace *reused* across frames and through a fresh workspace per call
+//! (the "legacy" path of the test names: what the allocating entry points
+//! did before they were folded away), asserting byte-identical output.
 //!
-//! The workspaces are deliberately *reused* across iterations inside each
-//! test — matching a fresh workspace is trivial (the allocating wrappers
-//! delegate), so the interesting property is that no state leaks from one
-//! frame into the next.
+//! The property is that no state leaks from one frame into the next, so
+//! the reused workspaces see a mix of sizes, numerologies and outcomes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sourcesync::core::{
-    decode_joint_data, decode_joint_data_with, joint_data_waveform, joint_data_waveform_into,
-    CombineWorkspace, CosenderPlan, DataSectionSpec, JointConfig, JointDataWindow, JointSession,
-    RoleChannels, SessionWorkspace,
+    decode_joint_data_with, joint_data_waveform_into, CombineWorkspace, CosenderPlan,
+    DataSectionSpec, JointConfig, JointDataWindow, JointSession, RoleChannels, SessionWorkspace,
 };
 use sourcesync::dsp::rng::ComplexGaussian;
-use sourcesync::dsp::{Complex64, Fft};
+use sourcesync::dsp::{Complex64, FftPlan};
 use sourcesync::phy::chanest::ChannelEstimate;
 use sourcesync::phy::{
     frame, ofdm, OfdmParams, RateId, Receiver, RxWorkspace, Transmitter, TxWorkspace,
@@ -39,19 +37,22 @@ fn ofdm_modulate_and_demodulate_match_legacy() {
     // One reused workspace across both numerologies: the re-keying path is
     // part of what is under test.
     for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         for sym_idx in 0..4 {
             let data: Vec<Complex64> = (0..params.n_data())
                 .map(|_| ComplexGaussian::unit().sample(&mut rng))
                 .collect();
             for pilots in [true, false] {
-                let legacy = ofdm::modulate_symbol_with_pilots(
+                let mut legacy = Vec::new();
+                ofdm::modulate_symbol_append(
                     &params,
                     &fft,
                     &data,
                     sym_idx,
                     params.cp_len,
                     pilots,
+                    &mut TxWorkspace::new(&params),
+                    &mut legacy,
                 );
                 wave.clear();
                 ofdm::modulate_symbol_append(
@@ -71,20 +72,29 @@ fn ofdm_modulate_and_demodulate_match_legacy() {
                     params.name
                 );
 
-                let legacy_grid = ofdm::demodulate_window(&params, &fft, &legacy, params.cp_len);
+                let mut legacy_grid = Vec::new();
+                ofdm::demodulate_window_into(
+                    &params,
+                    &fft,
+                    &legacy,
+                    params.cp_len,
+                    &mut legacy_grid,
+                );
                 ofdm::demodulate_window_into(&params, &fft, &wave, params.cp_len, &mut grid_buf);
                 assert_eq!(bits_of(&grid_buf), bits_of(&legacy_grid));
 
+                let mut fresh = Vec::new();
                 ofdm::extract_data_into(&params, &grid_buf, &mut data_buf);
-                assert_eq!(
-                    bits_of(&data_buf),
-                    bits_of(&ofdm::extract_data(&params, &legacy_grid))
-                );
+                ofdm::extract_data_into(&params, &legacy_grid, &mut fresh);
+                assert_eq!(bits_of(&data_buf), bits_of(&fresh));
+                let mut fresh = Vec::new();
                 ofdm::extract_pilots_into(&params, &grid_buf, &mut pilot_buf);
-                assert_eq!(
-                    bits_of(&pilot_buf),
-                    bits_of(&ofdm::extract_pilots(&params, &legacy_grid))
-                );
+                ofdm::extract_pilots_into(&params, &legacy_grid, &mut fresh);
+                assert_eq!(bits_of(&pilot_buf), bits_of(&fresh));
+                // The symbol round-trips to its data carriers.
+                for (a, b) in data_buf.iter().zip(&data) {
+                    assert!(a.dist(*b) < 1e-9, "{} sym {sym_idx}", params.name);
+                }
             }
         }
     }
@@ -102,7 +112,14 @@ fn transmitter_workspace_path_matches_legacy() {
             .enumerate()
         {
             let payload: Vec<u8> = (0..200 + 37 * i).map(|_| rng.gen()).collect();
-            let legacy = tx.frame_waveform(&payload, rate, i as u8 & 0b111);
+            let mut legacy = Vec::new();
+            tx.frame_waveform_into(
+                &payload,
+                rate,
+                i as u8 & 0b111,
+                &mut TxWorkspace::new(&params),
+                &mut legacy,
+            );
             tx.frame_waveform_into(&payload, rate, i as u8 & 0b111, &mut ws, &mut wave);
             assert_eq!(bits_of(&wave), bits_of(&legacy), "{} {rate:?}", params.name);
         }
@@ -142,7 +159,7 @@ fn rx_chain_workspace_path_matches_legacy() {
         let payload: Vec<u8> = (0..300).map(|_| rng.gen()).collect();
         let wave = tx.frame_waveform(&payload, rate, 0);
         let buf = on_air(&wave, 150 + 30 * i, snr_db, 50 + i as u64);
-        let legacy = rx.receive(&buf);
+        let legacy = rx.receive_with(&buf, &mut RxWorkspace::new(&params));
         let pooled = rx.receive_with(&buf, &mut ws);
         match (legacy, pooled) {
             (Ok(a), Ok(b)) => {
@@ -156,7 +173,7 @@ fn rx_chain_workspace_path_matches_legacy() {
     }
     // Empty buffer through the warmed workspace.
     assert_eq!(
-        format!("{:?}", rx.receive(&[])),
+        format!("{:?}", rx.receive_with(&[], &mut RxWorkspace::new(&params))),
         format!("{:?}", rx.receive_with(&[], &mut ws))
     );
 }
@@ -181,7 +198,7 @@ fn const_roles(
 #[test]
 fn combiner_workspace_paths_match_legacy() {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let mut rng = StdRng::seed_from_u64(4);
     let mut ws = CombineWorkspace::new(&params);
     let h_a = Complex64::from_polar(1.0, 0.7);
@@ -205,15 +222,16 @@ fn combiner_workspace_paths_match_legacy() {
             smart_combiner: smart,
             pilot_sharing: sharing,
         };
-        for role in [Codeword::A, Codeword::B] {
-            let legacy = joint_data_waveform(&params, &fft, &psdu, role, &spec);
+        let [wa, wb] = [Codeword::A, Codeword::B].map(|role| {
+            let mut legacy = Vec::new();
+            let mut fresh = CombineWorkspace::new(&params);
+            joint_data_waveform_into(&params, &fft, &psdu, role, &spec, &mut fresh, &mut legacy);
             joint_data_waveform_into(&params, &fft, &psdu, role, &spec, &mut ws, &mut wave);
             assert_eq!(bits_of(&wave), bits_of(&legacy), "case {i} role {role:?}");
-        }
+            legacy
+        });
 
-        // Joint on-air sum + decode, legacy vs workspace.
-        let wa = joint_data_waveform(&params, &fft, &psdu, Codeword::A, &spec);
-        let wb = joint_data_waveform(&params, &fft, &psdu, Codeword::B, &spec);
+        // Joint on-air sum + decode, fresh vs reused workspace.
         let noise = ComplexGaussian::with_power(1e-4);
         let buf: Vec<Complex64> = wa
             .iter()
@@ -228,8 +246,10 @@ fn combiner_workspace_paths_match_legacy() {
             psdu_len: psdu.len(),
             backoff: 0,
         };
+        let mut fresh = CombineWorkspace::new(&params);
         let (legacy_psdu, legacy_stats) =
-            decode_joint_data(&params, &fft, &buf, &window, &spec, &roles).expect("length");
+            decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut fresh)
+                .expect("length");
         let (ws_psdu, ws_stats) =
             decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut ws)
                 .expect("length");
@@ -298,7 +318,8 @@ fn joint_session_workspace_run_matches_legacy_run() {
         let mut net_b = test_network(70 + round);
         let db_b = oracle_db(&net_b, &[NodeId(0), NodeId(1), NodeId(2)]);
         let mut rng_b = StdRng::seed_from_u64(80 + round);
-        let legacy = session.run(&mut net_b, &mut rng_b, &db_b);
+        let mut fresh = SessionWorkspace::new(OfdmParams::dot11a());
+        let legacy = session.run_with(&mut net_b, &mut rng_b, &db_b, &mut fresh);
 
         assert_eq!(
             pooled.reports[0].payload, legacy.reports[0].payload,
@@ -326,7 +347,7 @@ fn joint_session_workspace_run_matches_legacy_run() {
 fn joint_session_stages_with_shared_workspace_deliver() {
     // Drive the three stages separately, every stage through the SAME
     // reused workspace (each stage "owns" it in turn), and check the
-    // outcome against the all-in-one legacy driver.
+    // outcome against the stages each given a fresh workspace.
     let payload = vec![0x9Au8; 140];
     let session = JointSession::new(NodeId(0))
         .cosender(CosenderPlan {
@@ -352,16 +373,20 @@ fn joint_session_stages_with_shared_workspace_deliver() {
     assert!(report.header_ok);
     assert_eq!(report.payload.as_deref(), Some(&payload[..]));
 
-    // Same seeds through the legacy staged entry points.
+    // Same seeds, a fresh workspace per stage.
     let mut net_b = test_network(90);
     let mut rng_b = StdRng::seed_from_u64(91);
-    let frame_b = session.lead_tx().transmit(&mut net_b);
-    let join_b = session
-        .cosender_join(0, &frame_b)
-        .join(&mut net_b, &mut rng_b, &db);
-    let report_b = session
-        .receiver_decode(NodeId(2), &frame_b)
-        .decode(&mut net_b, &mut rng_b);
+    let fresh = || SessionWorkspace::new(OfdmParams::dot11a());
+    let frame_b = session.lead_tx().transmit_with(&mut net_b, &mut fresh());
+    let join_b =
+        session
+            .cosender_join(0, &frame_b)
+            .join_with(&mut net_b, &mut rng_b, &db, &mut fresh());
+    let report_b = session.receiver_decode(NodeId(2), &frame_b).decode_with(
+        &mut net_b,
+        &mut rng_b,
+        &mut fresh(),
+    );
     assert_eq!(format!("{join:?}"), format!("{join_b:?}"));
     assert_eq!(report.payload, report_b.payload);
     assert_eq!(report.measured_misalign_s, report_b.measured_misalign_s);

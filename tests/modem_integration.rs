@@ -3,9 +3,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sourcesync::channel::{add_awgn, Link, Multipath, MultipathProfile, Oscillator};
+use sourcesync::channel::{
+    add_awgn, Link, Multipath, MultipathProfile, Oscillator, PropagationScratch,
+};
 use sourcesync::dsp::Complex64;
-use sourcesync::phy::{OfdmParams, RateId, Receiver, RxError, Transmitter};
+use sourcesync::phy::{OfdmParams, RateId, Receiver, RxError, RxWorkspace, Transmitter};
 
 /// TX → link → AWGN → RX, returning whether the payload survived.
 fn one_packet(
@@ -33,16 +35,17 @@ fn one_packet(
         delay_fs: (delay_frac * params.sample_period_fs() as f64) as u64,
         cfo_hz,
     };
-    let (mut rxwave, start) = link.propagate(
+    let mut scratch = PropagationScratch::default();
+    let (rxwave, start) = link.propagate_into(
         &wave,
         300 * params.sample_period_fs(),
         params.sample_period_fs(),
+        &mut scratch,
     );
     let mut buf = vec![Complex64::ZERO; start as usize + rxwave.len() + 400];
-    buf[start as usize..start as usize + rxwave.len()].copy_from_slice(&rxwave);
-    rxwave.clear();
+    buf[start as usize..start as usize + rxwave.len()].copy_from_slice(rxwave);
     add_awgn(&mut rng, &mut buf, 1.0);
-    match rx.receive(&buf) {
+    match rx.receive_with(&buf, &mut RxWorkspace::new(&params)) {
         Ok(res) => res.payload == payload,
         Err(_) => false,
     }
@@ -106,13 +109,14 @@ fn oscillator_offsets_within_spec_are_handled() {
 fn truncation_and_garbage_do_not_panic() {
     let params = OfdmParams::dot11a();
     let rx = Receiver::new(params.clone());
+    let mut ws = RxWorkspace::new(&params);
     let mut rng = StdRng::seed_from_u64(9);
     // Garbage of various lengths.
     for len in [0usize, 1, 63, 64, 1000, 5000] {
         let buf: Vec<Complex64> = (0..len)
             .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
             .collect();
-        match rx.receive(&buf) {
+        match rx.receive_with(&buf, &mut ws) {
             Ok(_)
             | Err(RxError::NoPacket)
             | Err(RxError::Truncated(_))
@@ -126,6 +130,6 @@ fn truncation_and_garbage_do_not_panic() {
     let mut buf = vec![Complex64::ZERO; 200];
     buf.extend(wave);
     for cut in [buf.len() / 4, buf.len() / 2, 3 * buf.len() / 4] {
-        let _ = rx.receive(&buf[..cut]);
+        let _ = rx.receive_with(&buf[..cut], &mut ws);
     }
 }
