@@ -1,17 +1,20 @@
-//! Golden-output regression tests: ported scenarios must reproduce the
-//! pre-harness figure binaries' stdout byte-for-byte.
+//! Golden-output regression tests: every pinned scenario must keep
+//! reproducing its capture byte for byte.
 //!
-//! The files under `tests/golden/` are verbatim captures of the original
-//! (pre-`ssync_exp`) binaries at default settings (`SSYNC_TRIALS=1`).
-//! Each scenario is rendered at one and at several worker threads — the
-//! harness promises both match the serial legacy bytes exactly.
+//! The files under `tests/golden/` were captured at default settings
+//! (`SSYNC_TRIALS=1`): the oldest from the original (pre-`ssync_exp`)
+//! figure binaries, the rest from `ssync-lab run` at the point each test's
+//! doc names. Each scenario renders at one and at four worker threads —
+//! the harness promises both match the serial bytes exactly. The slowest
+//! render at four only; CI's release-mode `ssync-lab --check` steps
+//! replay them too.
 
 use ssync_bench::scenarios;
 use ssync_exp::{golden, run_rendered, RunConfig};
 
-fn check(name: &str, expected: &str) {
+fn check_at(name: &str, expected: &str, thread_counts: &[usize]) {
     let scenario = scenarios::find(name).expect("scenario registered");
-    for threads in [1, 4] {
+    for &threads in thread_counts {
         let cfg = RunConfig {
             threads,
             ..Default::default()
@@ -22,6 +25,10 @@ fn check(name: &str, expected: &str) {
             &run_rendered(scenario, &cfg),
         );
     }
+}
+
+fn check(name: &str, expected: &str) {
+    check_at(name, expected, &[1, 4]);
 }
 
 #[test]
@@ -58,29 +65,19 @@ fn table_overhead_matches_prerefactor_output() {
 /// `ssync-lab --check` step re-verifies both in release on every push.
 #[test]
 fn fig12_sync_error_matches_presession_output() {
-    let scenario = scenarios::find("fig12_sync_error").expect("scenario registered");
-    let cfg = RunConfig {
-        threads: 4,
-        ..Default::default()
-    };
-    golden::assert_matches(
-        "fig12_sync_error (threads=4)",
+    check_at(
+        "fig12_sync_error",
         include_str!("golden/fig12_sync_error.tsv"),
-        &run_rendered(scenario, &cfg),
+        &[4],
     );
 }
 
 #[test]
 fn fig13_cp_sweep_matches_presession_output() {
-    let scenario = scenarios::find("fig13_cp_sweep").expect("scenario registered");
-    let cfg = RunConfig {
-        threads: 4,
-        ..Default::default()
-    };
-    golden::assert_matches(
-        "fig13_cp_sweep (threads=4)",
+    check_at(
+        "fig13_cp_sweep",
         include_str!("golden/fig13_cp_sweep.tsv"),
-        &run_rendered(scenario, &cfg),
+        &[4],
     );
 }
 
@@ -91,15 +88,10 @@ fn fig13_cp_sweep_matches_presession_output() {
 /// multi-threaded worker count for the same reason as fig12/fig13 above.
 #[test]
 fn fig16_subcarrier_snr_matches_preworkspace_output() {
-    let scenario = scenarios::find("fig16_subcarrier_snr").expect("scenario registered");
-    let cfg = RunConfig {
-        threads: 4,
-        ..Default::default()
-    };
-    golden::assert_matches(
-        "fig16_subcarrier_snr (threads=4)",
+    check_at(
+        "fig16_subcarrier_snr",
         include_str!("golden/fig16_subcarrier_snr.tsv"),
-        &run_rendered(scenario, &cfg),
+        &[4],
     );
 }
 
@@ -112,28 +104,73 @@ fn fig16_subcarrier_snr_matches_preworkspace_output() {
 /// debug-profile render too slow for the unit suite.
 #[test]
 fn testbed_fault_matches_pinned_output() {
-    let scenario = scenarios::find("testbed_fault").expect("scenario registered");
-    let cfg = RunConfig {
-        threads: 4,
-        ..Default::default()
-    };
-    golden::assert_matches(
-        "testbed_fault (threads=4)",
+    check_at(
+        "testbed_fault",
         include_str!("golden/testbed_fault.tsv"),
-        &run_rendered(scenario, &cfg),
+        &[4],
     );
 }
 
 #[test]
 fn ablation_combiner_matches_preworkspace_output() {
-    let scenario = scenarios::find("ablation_combiner").expect("scenario registered");
-    let cfg = RunConfig {
-        threads: 4,
-        ..Default::default()
-    };
-    golden::assert_matches(
-        "ablation_combiner (threads=4)",
+    check_at(
+        "ablation_combiner",
         include_str!("golden/ablation_combiner.tsv"),
-        &run_rendered(scenario, &cfg),
+        &[4],
+    );
+}
+
+/// The six scenarios pinned last: `ssync-lab run` captures from the
+/// release build at default settings, byte-identical at 1 and 2 worker
+/// threads when taken.
+#[test]
+fn ablation_tracking_matches_pinned_output() {
+    check(
+        "ablation_tracking",
+        include_str!("golden/ablation_tracking.tsv"),
+    );
+}
+
+#[test]
+fn sweep_wait_residual_matches_pinned_output() {
+    check(
+        "sweep_wait_residual",
+        include_str!("golden/sweep_wait_residual.tsv"),
+    );
+}
+
+#[test]
+fn fig15_power_gains_matches_pinned_output() {
+    check(
+        "fig15_power_gains",
+        include_str!("golden/fig15_power_gains.tsv"),
+    );
+}
+
+#[test]
+fn fig17_lasthop_cdf_matches_pinned_output() {
+    check(
+        "fig17_lasthop_cdf",
+        include_str!("golden/fig17_lasthop_cdf.tsv"),
+    );
+}
+
+#[test]
+fn fig18_opportunistic_matches_pinned_output() {
+    check(
+        "fig18_opportunistic",
+        include_str!("golden/fig18_opportunistic.tsv"),
+    );
+}
+
+/// The staged-API scan (N co-senders x 2 receivers) is the suite's
+/// slowest single-threaded render, so it is checked at one
+/// multi-threaded worker count, like fig12.
+#[test]
+fn session_matrix_matches_pinned_output() {
+    check_at(
+        "session_matrix",
+        include_str!("golden/session_matrix.tsv"),
+        &[4],
     );
 }

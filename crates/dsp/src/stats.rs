@@ -97,9 +97,12 @@ pub fn fold_max(acc: f64, v: f64) -> f64 {
 
 /// An empirical CDF: sorted values paired with cumulative fractions
 /// `(i+1)/n`, ready to print as the paper's "Fraction of clients" curves.
+///
+/// Total on every input, like [`percentile`]: NaNs sort after every
+/// number and ±inf take part like any other value.
 pub fn empirical_cdf(xs: &[f64]) -> Vec<(f64, f64)> {
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in CDF input"));
+    sorted.sort_by(cmp_nan_last);
     let n = sorted.len() as f64;
     sorted
         .into_iter()
@@ -279,6 +282,28 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 < w[1].1);
         }
+    }
+
+    #[test]
+    fn cdf_sorts_nan_last_and_keeps_infinities() {
+        let xs = [
+            f64::NAN,
+            2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.0,
+        ];
+        let cdf = empirical_cdf(&xs);
+        let values: Vec<f64> = cdf.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values[..4], [f64::NEG_INFINITY, -0.0, 2.0, f64::INFINITY]);
+        assert!(values[4].is_nan() && values[5].is_nan());
+        let fractions: Vec<f64> = cdf.iter().map(|&(_, f)| f).collect();
+        assert_eq!(
+            fractions,
+            (1..=6).map(|i| i as f64 / 6.0).collect::<Vec<_>>()
+        );
+        assert!(empirical_cdf(&[]).is_empty());
     }
 
     #[test]

@@ -24,10 +24,9 @@ pub const BROADCAST: u16 = 0xFFFF;
 /// The planned modem machinery one testbed run reuses for every frame.
 ///
 /// All receive-side scratch lives in a shared [`WorkspacePool`], so every
-/// decode — the per-listener decodes of [`Modem::exchange`], one-off
-/// [`Modem::decode_mac`] calls, multi-capture [`Modem::decode_mac_batch`]
-/// fan-outs — reuses warm buffers instead of re-allocating the modem
-/// workspace per frame.
+/// decode — the per-listener decodes of [`Modem::exchange`], which all go
+/// through [`Modem::decode_mac_batch_diag`] — reuses warm buffers instead
+/// of re-allocating the modem workspace per frame.
 pub struct Modem {
     params: Params,
     tx: Transmitter,
@@ -54,7 +53,7 @@ impl Modem {
     }
 
     /// Spreads batched decodes ([`Modem::exchange`],
-    /// [`Modem::decode_mac_batch`]) over `threads` workers. Decoded outputs
+    /// [`Modem::decode_mac_batch_diag`]) over `threads` workers. Decoded outputs
     /// are identical for any thread count — only wall-clock changes.
     pub fn with_decode_threads(mut self, threads: usize) -> Self {
         self.decode_threads = threads.max(1);
@@ -94,31 +93,12 @@ impl Modem {
         Duration::from_samples(n_samples as u64, self.params.sample_period_fs())
     }
 
-    /// Attempts to recover one MAC frame from a capture: detection, the
-    /// full receive chain, CRC, MAC parse. `None` on any failure.
-    pub fn decode_mac(&self, capture: &[Complex64]) -> Option<MacFrame> {
-        let mut ws = self.pool.checkout();
-        let res = self.rx.receive_with(capture, &mut ws).ok()?;
-        let bytes = crc::check_crc(&res.payload)?;
-        MacFrame::from_bytes(bytes)
-    }
-
-    /// [`Modem::decode_mac`] over many captures at once through
-    /// [`Receiver::receive_batch`] and the shared pool, spread over the
-    /// modem's decode threads. Results are in capture order and identical
-    /// to per-capture [`Modem::decode_mac`] calls.
-    pub fn decode_mac_batch<C: AsRef<[Complex64]> + Sync>(
-        &self,
-        captures: &[C],
-    ) -> Vec<Option<MacFrame>> {
-        self.decode_mac_batch_diag(captures)
-            .into_iter()
-            .map(|d| d.map(|(frame, _)| frame))
-            .collect()
-    }
-
-    /// [`Modem::decode_mac_batch`] keeping the receive-chain diagnostics
-    /// summary the chain measured alongside each recovered frame.
+    /// Attempts to recover one MAC frame from each capture: detection,
+    /// the full receive chain, CRC, MAC parse — `None` on any failure —
+    /// keeping the diagnostics summary the chain measured alongside each
+    /// recovered frame. Runs through [`Receiver::receive_batch`] and the
+    /// shared pool, spread over the modem's decode threads; results are in
+    /// capture order and identical at any thread count.
     pub fn decode_mac_batch_diag<C: AsRef<[Complex64]> + Sync>(
         &self,
         captures: &[C],
@@ -339,6 +319,6 @@ mod tests {
         let noise: Vec<Complex64> = (0..4000)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect();
-        assert_eq!(modem.decode_mac(&noise), None);
+        assert!(modem.decode_mac_batch_diag(&[noise])[0].is_none());
     }
 }
