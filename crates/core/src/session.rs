@@ -1066,6 +1066,62 @@ mod tests {
     }
 
     #[test]
+    fn cosender_nco_is_continuous_across_training_and_data() {
+        // The co-sender pre-rotates its training from origin 0 and its data
+        // from origin `data_gap`: the two sections on the air must be, bit
+        // for bit, one rotation of the concatenated timeline.
+        let payload = vec![0x5Cu8; 100];
+        let mut net = test_network(81);
+        let db = measured_db(&mut net, 82);
+        let sol = db
+            .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
+            .unwrap();
+        let s = session(&payload, sol.waits[0]);
+        assert!(s.config.cfo_precorrection);
+        let mut rng = StdRng::seed_from_u64(83);
+        let mut ws = SessionWorkspace::new(net.params.clone());
+        let frame = s.lead_tx().transmit_with(&mut net, &mut ws);
+        let tx = s
+            .cosender_join(0, &frame)
+            .join_with(&mut net, &mut rng, &db, &mut ws)
+            .expect("co-sender joined");
+        assert!(tx.cfo_hz.abs() > 100.0, "no CFO to pre-rotate: {tx:?}");
+        let sent: Vec<&[Complex64]> = net
+            .medium
+            .transmissions()
+            .iter()
+            .filter(|t| t.tx == NodeId(1))
+            .map(|t| t.waveform.as_slice())
+            .collect();
+        assert_eq!(sent.len(), 2);
+
+        let params = &net.params;
+        let period = params.sample_period_fs();
+        let training = cosender_training(params, &ws.fft, frame.timeline.data_cp);
+        let mut data = Vec::new();
+        crate::combiner::joint_data_waveform_into(
+            params,
+            &ws.fft,
+            &frame.psdu,
+            codeword_for(1),
+            &s.config.data_section(frame.timeline.data_cp),
+            &mut ws.combine_ws,
+            &mut data,
+        );
+        let gap = ((tx.data_time.0 - tx.training_time.0) / period) as usize;
+        assert!(training.len() <= gap);
+        let mut whole = vec![Complex64::ZERO; gap + data.len()];
+        whole[..training.len()].copy_from_slice(&training);
+        whole[gap..].copy_from_slice(&data);
+        ssync_dsp::mixer::apply_cfo(&mut whole, tx.cfo_hz, params.sample_rate_hz);
+        let bits = |x: &[Complex64]| -> Vec<(u64, u64)> {
+            x.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        assert_eq!(bits(sent[0]), bits(&whole[..training.len()]));
+        assert_eq!(bits(sent[1]), bits(&whole[gap..]));
+    }
+
+    #[test]
     fn outcome_carries_per_cosender_diagnostics() {
         let payload = vec![0x22u8; 100];
         let mut net = test_network(61);
