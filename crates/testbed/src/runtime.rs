@@ -972,9 +972,10 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 );
             } else {
                 self.stations[v].queue.pop_front();
-                // Only a packet the hop never decoded is actually lost;
-                // a delivered-but-unacknowledged one lives on downstream.
-                if !data_ok {
+                // Only a packet the hop never decoded, on this attempt or
+                // an earlier one, is actually lost; a decoded but
+                // unacknowledged one lives on downstream.
+                if !self.has[hop][p] {
                     self.out.packets_abandoned += 1;
                     self.trace.emit(
                         t_fs,

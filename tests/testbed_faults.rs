@@ -304,3 +304,35 @@ fn fault_free_baseline_is_clean() {
     assert_eq!(o.faults.total(), 0);
     assert_eq!(o.delivered, 3, "{o:?}");
 }
+
+#[test]
+fn delivered_plus_abandoned_never_exceeds_the_batch() {
+    // A packet is either delivered, abandoned at the one hop that never
+    // decoded it, or (ExOR) left undelivered by the cleanup: never two of
+    // these. Partial DATA and ACK loss is the hard case — a hop decodes
+    // an early attempt, its ACK dies, and the last retry's DATA is lost.
+    let plans = [(0.0, 0.0), (0.3, 0.6), (0.5, 0.5), (0.6, 0.8)];
+    for mode in [
+        RoutingMode::SinglePath,
+        RoutingMode::Exor,
+        RoutingMode::ExorSourceSync,
+    ] {
+        for (k, &(data_drop, ack_drop)) in plans.iter().enumerate() {
+            for seed in 0..4u64 {
+                let faults = FaultPlan {
+                    data: FaultInjector::new(data_drop, 0.0),
+                    ack: FaultInjector::new(ack_drop, 0.0),
+                    ..FaultPlan::none()
+                };
+                let seed = 900 + 10 * k as u64 + seed;
+                let o = run(seed, LOSSY_DST_DB, mode, faults, DelaySource::Oracle);
+                let settled = o.delivered + o.packets_abandoned as usize;
+                assert!(settled <= 3, "{mode:?} seed {seed}: {o:?}");
+                // Single-path ARQ runs every packet to one end or the other.
+                if mode == RoutingMode::SinglePath {
+                    assert_eq!(settled, 3, "seed {seed}: {o:?}");
+                }
+            }
+        }
+    }
+}
