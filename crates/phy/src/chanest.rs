@@ -22,11 +22,12 @@ pub struct ChannelEstimate {
 }
 
 impl ChannelEstimate {
-    /// Channel gain for a given signed carrier index.
+    /// Channel gain for a given signed carrier index: a binary search over
+    /// the ascending `carriers`.
     pub fn gain(&self, carrier: i32) -> Option<Complex64> {
         self.carriers
-            .iter()
-            .position(|&k| k == carrier)
+            .binary_search(&carrier)
+            .ok()
             .map(|i| self.values[i])
     }
 
@@ -291,6 +292,24 @@ mod tests {
         assert!(est.gain(1).is_some());
         assert!(est.gain(0).is_none()); // DC not occupied
         assert!(est.gain(100).is_none());
+    }
+
+    #[test]
+    fn gain_matches_a_linear_scan_on_every_carrier() {
+        for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
+            let est = flat_channel_estimate(&params, 0.3, 1e-3, 9);
+            assert!(est.carriers.windows(2).all(|w| w[0] < w[1]));
+            let half = params.fft_size as i32 / 2;
+            // Every index, occupied or not, and a margin out of range.
+            for k in -half - 3..half + 3 {
+                let scan = est
+                    .carriers
+                    .iter()
+                    .position(|&c| c == k)
+                    .map(|i| est.values[i]);
+                assert_eq!(est.gain(k), scan, "carrier {k}");
+            }
+        }
     }
 
     #[test]
